@@ -837,12 +837,14 @@ func queryConfig(r *http.Request) (core.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	if wires > 0 || rawBits > 0 {
+	// Any non-zero value reaches the spec, so a negative one is rejected
+	// by the design (400) rather than silently replaced by the default.
+	if wires != 0 || rawBits != 0 {
 		cfg.Spec = geometry.DefaultCrossbarSpec()
-		if wires > 0 {
+		if wires != 0 {
 			cfg.Spec.HalfCaveWires = wires
 		}
-		if rawBits > 0 {
+		if rawBits != 0 {
 			cfg.Spec.RawBits = rawBits
 		}
 	}

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"net/http"
 
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
-	"nwdec/internal/nwerr"
 )
 
 // ChunkPath is the internal HTTP route of the chunk protocol: the job
@@ -51,34 +49,16 @@ type ChunkFunc func(ctx context.Context, req engine.ChunkRequest) (key string, d
 func ChunkHandler(node string, eval ChunkFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ChunkNodeHeader, node)
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, nwerr.Invalidf("cluster: reading chunk request: %w", err))
-			return
-		}
-		req, err := engine.UnmarshalChunkWire(body)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		key, ds, err := eval(r.Context(), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if ds == nil {
-			writeError(w, nwerr.Internalf("cluster: chunk %s produced no dataset", key))
-			return
-		}
-		raw, err := ds.JSON()
-		if err != nil {
-			writeError(w, nwerr.Internal(err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(ChunkKeyHeader, key)
-		if _, err := w.Write(raw); err != nil {
-			return // client went away; nothing to salvage
-		}
+		serve(w, r, func(ctx context.Context, body []byte) (*dataset.Dataset, http.Header, error) {
+			req, err := engine.UnmarshalChunkWire(body)
+			if err != nil {
+				return nil, nil, err
+			}
+			key, ds, err := eval(ctx, req)
+			if err != nil {
+				return nil, nil, err
+			}
+			return ds, http.Header{ChunkKeyHeader: {key}}, nil
+		})
 	})
 }

@@ -1,0 +1,174 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"net/http"
+	"strings"
+	"time"
+
+	"nwdec/internal/dataset"
+	"nwdec/internal/nwerr"
+)
+
+// DefaultPeerTimeout bounds one peer fetch. It must cover a full
+// computation on the owner (experiments run for seconds, not
+// milliseconds); a peer that cannot answer within it is treated as down
+// and the work falls back to computing locally.
+const DefaultPeerTimeout = 30 * time.Second
+
+// Options configures a node's fleet membership (see Members).
+type Options struct {
+	// Self is this node's ID. Keys the ring assigns to Self are served
+	// locally.
+	Self string
+	// Peers maps every *other* node's ID to its base URL
+	// (e.g. "http://10.0.0.2:8080"). Self must not appear as a key.
+	Peers map[string]string
+	// VirtualNodes is the ring multiplicity (0 = DefaultVirtualNodes).
+	VirtualNodes int
+	// Timeout bounds one peer fetch (0 = DefaultPeerTimeout).
+	Timeout time.Duration
+	// Client issues the peer requests (nil = a private default client).
+	Client *http.Client
+}
+
+// Members is one node's view of the fleet and the client half of the
+// peer transport: the ring over Self plus every peer, the peers' base
+// URLs, and a bounded POST that moves a body to a peer and a dataset
+// back. Both routing layers embed it — PeerBackend for engine requests,
+// the job layer's ring executor for chunks — and add only their routing
+// policy on top. Membership is fixed at construction.
+type Members struct {
+	ring    *Ring
+	peers   map[string]string
+	client  *http.Client
+	timeout time.Duration
+}
+
+// NewMembers validates the membership and builds the ring. An empty
+// Self, Self listed among Peers, or a peer without a URL is rejected as
+// Invalid-class.
+func NewMembers(opts Options) (*Members, error) {
+	if opts.Self == "" {
+		return nil, nwerr.Invalidf("cluster: node needs a non-empty -node-id")
+	}
+	if _, ok := opts.Peers[opts.Self]; ok {
+		return nil, nwerr.Invalidf("cluster: peer set must not contain this node %q", opts.Self)
+	}
+	nodes := []string{opts.Self}
+	peers := make(map[string]string, len(opts.Peers))
+	for id, base := range opts.Peers {
+		if base == "" {
+			return nil, nwerr.Invalidf("cluster: peer %q has an empty URL", id)
+		}
+		nodes = append(nodes, id)
+		peers[id] = strings.TrimSuffix(base, "/")
+	}
+	ring, err := NewRing(nodes, opts.VirtualNodes)
+	if err != nil {
+		return nil, nwerr.Invalid(err)
+	}
+	m := &Members{ring: ring, peers: peers, client: opts.Client, timeout: opts.Timeout}
+	if m.client == nil {
+		m.client = &http.Client{}
+	}
+	if m.timeout <= 0 {
+		m.timeout = DefaultPeerTimeout
+	}
+	return m, nil
+}
+
+// Ring exposes the membership's ring, for ownership introspection.
+func (m *Members) Ring() *Ring { return m.ring }
+
+// PeerFor returns the base URL of the peer that owns key. ok is false
+// when this node owns it, so the caller computes locally.
+func (m *Members) PeerFor(key string) (base string, ok bool) {
+	base, ok = m.peers[m.ring.Owner(key)]
+	return base, ok
+}
+
+// Post sends body to path on the peer at base and decodes the 200
+// response as a dataset, returned with the response headers. The call is
+// bounded by the peer timeout but stays on the caller's goroutine — the
+// hedge against a dead peer is the caller's local fallback, not a racing
+// goroutine (this package is goroutine-free by project policy). A
+// non-200 answer is an Internal-class error quoting the start of the
+// body.
+func (m *Members) Post(ctx context.Context, base, path string, body []byte) (ds *dataset.Dataset, hdr http.Header, err error) {
+	ctx, cancel := context.WithTimeout(ctx, m.timeout)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hresp, err := m.client.Do(hreq)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		if cerr := hresp.Body.Close(); err == nil && cerr != nil {
+			ds, hdr, err = nil, nil, cerr
+		}
+	}()
+	if hresp.StatusCode != http.StatusOK {
+		// Drain a little for connection reuse; the text is diagnostic only.
+		msg, rerr := io.ReadAll(io.LimitReader(hresp.Body, 512))
+		if rerr != nil {
+			msg = []byte("(unreadable body: " + rerr.Error() + ")")
+		}
+		return nil, nil, nwerr.Internalf("cluster: peer %s: status %d: %s", base, hresp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	ds, err = dataset.ParseJSON(hresp.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, hresp.Header, nil
+}
+
+// serve is the server half of the peer transport, shared by the request
+// and chunk protocols: it reads the (1 MiB-bounded) body, evaluates it
+// on the caller's goroutine, and writes the dataset as JSON with the
+// headers eval returned — or the error under its taxonomy status.
+func serve(w http.ResponseWriter, r *http.Request, eval func(ctx context.Context, body []byte) (*dataset.Dataset, http.Header, error)) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, nwerr.Invalidf("cluster: reading %s request: %w", r.URL.Path, err))
+		return
+	}
+	ds, hdr, err := eval(r.Context(), body)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if ds == nil {
+		writeError(w, nwerr.Internalf("cluster: %s request produced no dataset", r.URL.Path))
+		return
+	}
+	raw, err := ds.JSON()
+	if err != nil {
+		writeError(w, nwerr.Internal(err))
+		return
+	}
+	h := w.Header()
+	for k, v := range hdr {
+		h[k] = v
+	}
+	h.Set("Content-Type", "application/json")
+	if _, err := w.Write(raw); err != nil {
+		return // client went away; nothing to salvage
+	}
+}
+
+// writeError maps an error to its taxonomy status (with the Retry-After
+// hint on 503) and writes it as the plain-text body.
+func writeError(w http.ResponseWriter, err error) {
+	status := nwerr.HTTPStatus(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	http.Error(w, err.Error(), status)
+}

@@ -1,17 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"net/http"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
-	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 )
 
@@ -21,33 +16,11 @@ import (
 // surface, not the public API.
 const PeerPath = "/peer/"
 
-// DefaultPeerTimeout bounds one peer fetch. It must cover a full
-// computation on the owner (experiments run for seconds, not
-// milliseconds); a peer that cannot answer within it is treated as down
-// and the request falls back to computing locally.
-const DefaultPeerTimeout = 30 * time.Second
-
 // Header names of the peer protocol.
 const (
 	headerCache = "X-Cache"
 	headerKey   = "X-Request-Key"
 )
-
-// Options configures a PeerBackend.
-type Options struct {
-	// Self is this node's ID. It must be a member of Peers' key set
-	// union {Self} — keys the ring assigns to Self are served locally.
-	Self string
-	// Peers maps every *other* node's ID to its base URL
-	// (e.g. "http://10.0.0.2:8080"). Self must not appear as a key.
-	Peers map[string]string
-	// VirtualNodes is the ring multiplicity (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// Timeout bounds one peer fetch (0 = DefaultPeerTimeout).
-	Timeout time.Duration
-	// Client issues the peer requests (nil = a private default client).
-	Client *http.Client
-}
 
 // PeerBackend is an engine.Backend that routes each request to its key's
 // owning node. Requests this node owns — and requests that cannot cross
@@ -64,62 +37,23 @@ type Options struct {
 // the owner is the cache home, and a second fetch hitting the owner's
 // warm cache is exactly the cheap path the design wants.
 type PeerBackend struct {
-	self    string
-	ring    *Ring
-	peers   map[string]string
-	client  *http.Client
-	timeout time.Duration
-	local   engine.Backend
+	*Members
+	local engine.Backend
 
 	requests atomic.Int64
 	remote   atomic.Int64
-	fallback atomic.Int64
 	errors   atomic.Int64
 }
 
 // NewPeerBackend builds the routing layer over the local engine (or any
 // engine.Backend). The ring membership is Self plus every key of Peers.
 func NewPeerBackend(local engine.Backend, opts Options) (*PeerBackend, error) {
-	if opts.Self == "" {
-		return nil, nwerr.Invalidf("cluster: node needs a non-empty -node-id")
-	}
-	if _, ok := opts.Peers[opts.Self]; ok {
-		return nil, nwerr.Invalidf("cluster: peer set must not contain this node %q", opts.Self)
-	}
-	nodes := make([]string, 0, len(opts.Peers)+1)
-	nodes = append(nodes, opts.Self)
-	peers := make(map[string]string, len(opts.Peers))
-	for id, base := range opts.Peers {
-		if base == "" {
-			return nil, nwerr.Invalidf("cluster: peer %q has an empty URL", id)
-		}
-		nodes = append(nodes, id)
-		peers[id] = strings.TrimSuffix(base, "/")
-	}
-	ring, err := NewRing(nodes, opts.VirtualNodes)
+	m, err := NewMembers(opts)
 	if err != nil {
-		return nil, nwerr.Invalid(err)
+		return nil, err
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = DefaultPeerTimeout
-	}
-	return &PeerBackend{
-		self:    opts.Self,
-		ring:    ring,
-		peers:   peers,
-		client:  client,
-		timeout: timeout,
-		local:   local,
-	}, nil
+	return &PeerBackend{Members: m, local: local}, nil
 }
-
-// Ring exposes the backend's ring, for ownership introspection.
-func (b *PeerBackend) Ring() *Ring { return b.ring }
 
 // Stats reports the layer's lifetime counters. Served counts requests
 // answered by a peer (the layer "served" them without local compute);
@@ -143,16 +77,14 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 		return b.local.Handle(ctx, req)
 	}
 	key := req.Key()
-	owner := b.ring.Owner(key)
-	base, ok := b.peers[owner]
-	if owner == "" || owner == b.self || !ok {
+	base, ok := b.PeerFor(key)
+	if !ok {
 		obs.From(ctx).Counter("cluster/peer/local").Add(1)
 		return b.local.Handle(ctx, req)
 	}
 	resp, err := b.fetch(ctx, base, req, key)
 	if err != nil {
 		b.errors.Add(1)
-		b.fallback.Add(1)
 		reg := obs.From(ctx)
 		reg.Counter("cluster/peer/errors").Add(1)
 		reg.Counter("cluster/peer/fallback_local").Add(1)
@@ -166,48 +98,21 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 // fetch asks the owning node for the request's result. The owner runs
 // the request through its own engine facade, so validation, caching,
 // deduplication and admission all happen there; this side only moves
-// bytes. The fetch is bounded by the per-peer timeout but stays on the
-// caller's goroutine — the hedge against a dead peer is the local
-// fallback in Handle, not a racing goroutine (this package is
-// goroutine-free by project policy).
-func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request, key string) (resp *engine.Response, err error) {
+// bytes.
+func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request, key string) (*engine.Response, error) {
 	body, err := req.MarshalWire()
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, b.timeout)
-	defer cancel()
 	span := obs.From(ctx).StartSpan("cluster/peer/fetch")
 	defer span.End()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+PeerPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := b.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := hresp.Body.Close(); err == nil && cerr != nil {
-			err, resp = cerr, nil
-		}
-	}()
-	if hresp.StatusCode != http.StatusOK {
-		// Drain a little for connection reuse; the text is diagnostic only.
-		msg, rerr := io.ReadAll(io.LimitReader(hresp.Body, 512))
-		if rerr != nil {
-			msg = []byte("(unreadable body: " + rerr.Error() + ")")
-		}
-		return nil, nwerr.Internalf("cluster: peer %s: status %d: %s", base, hresp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	ds, err := dataset.ParseJSON(hresp.Body)
+	ds, hdr, err := b.Post(ctx, base, PeerPath, body)
 	if err != nil {
 		return nil, err
 	}
 	return &engine.Response{
 		Dataset:  ds,
-		CacheHit: hresp.Header.Get(headerCache) == "hit",
+		CacheHit: hdr.Get(headerCache) == "hit",
 		Peer:     true,
 		Key:      key,
 	}, nil
@@ -222,49 +127,20 @@ func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request
 // into their local-fallback path with a hint to come back.
 func PeerHandler(local engine.Backend) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, nwerr.Invalidf("cluster: reading peer request: %w", err))
-			return
-		}
-		req, err := engine.UnmarshalWire(body)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		resp, err := local.Handle(r.Context(), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if resp.Dataset == nil {
-			writeError(w, nwerr.Internalf("cluster: request %s produced no dataset", resp.Key))
-			return
-		}
-		raw, err := resp.Dataset.JSON()
-		if err != nil {
-			writeError(w, nwerr.Internal(err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(headerKey, resp.Key)
-		if resp.CacheHit {
-			w.Header().Set(headerCache, "hit")
-		} else {
-			w.Header().Set(headerCache, "miss")
-		}
-		if _, err := w.Write(raw); err != nil {
-			return // client went away; nothing to salvage
-		}
+		serve(w, r, func(ctx context.Context, body []byte) (*dataset.Dataset, http.Header, error) {
+			req, err := engine.UnmarshalWire(body)
+			if err != nil {
+				return nil, nil, err
+			}
+			resp, err := local.Handle(ctx, req)
+			if err != nil {
+				return nil, nil, err
+			}
+			cache := "miss"
+			if resp.CacheHit {
+				cache = "hit"
+			}
+			return resp.Dataset, http.Header{headerKey: {resp.Key}, headerCache: {cache}}, nil
+		})
 	})
-}
-
-// writeError maps an error to its taxonomy status (with the Retry-After
-// hint on 503) and writes it as the plain-text body.
-func writeError(w http.ResponseWriter, err error) {
-	status := nwerr.HTTPStatus(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	http.Error(w, err.Error(), status)
 }

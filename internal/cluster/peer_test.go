@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"nwdec/internal/core"
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/nwerr"
@@ -260,6 +261,11 @@ func TestPeerHandlerStatusMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, designErr := eng.Do(context.Background(), engine.Request{Kind: engine.KindDesign, Config: core.Config{CodeLength: -2}})
 	cases := []struct {
 		name       string
 		backendErr error
@@ -271,6 +277,7 @@ func TestPeerHandlerStatusMapping(t *testing.T) {
 		{"canceled", nwerr.Canceled(context.Canceled), string(wire), http.StatusRequestTimeout, ""},
 		{"invalid", nwerr.Invalidf("bad"), string(wire), http.StatusBadRequest, ""},
 		{"internal", errors.New("boom"), string(wire), http.StatusInternalServerError, ""},
+		{"bad-design", designErr, string(wire), http.StatusBadRequest, ""},
 		{"bad-wire", nil, "{not json", http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {

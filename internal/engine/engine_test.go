@@ -11,6 +11,7 @@ import (
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/experiments"
+	"nwdec/internal/geometry"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 )
@@ -337,6 +338,30 @@ func TestInvalidRequests(t *testing.T) {
 	}
 	if got := reg.Counter("engine/computes").Value(); got != 0 {
 		t.Errorf("invalid requests ran %d computes, want 0", got)
+	}
+}
+
+// TestBadDesignConfigInvalid: a configuration core.NewDesign rejects is
+// the caller's mistake, so it must classify as Invalid (HTTP 400, CLI
+// exit 2) rather than Internal — in a fleet an owner's 500 reads as a
+// sick peer and triggers a pointless local recompute.
+func TestBadDesignConfigInvalid(t *testing.T) {
+	ctx, _ := obsCtx()
+	eng := newEngine(t, engine.Options{})
+	spec := geometry.DefaultCrossbarSpec()
+	spec.HalfCaveWires = -3
+	for _, cfg := range []core.Config{
+		{CodeLength: -2},
+		{SigmaT: -1},
+		{Base: -1},
+		{Spec: spec},
+	} {
+		for _, kind := range []engine.Kind{engine.KindDesign, engine.KindMonteCarlo} {
+			_, err := eng.Do(ctx, engine.Request{Kind: kind, Config: cfg, Trials: 1})
+			if !nwerr.IsInvalid(err) {
+				t.Errorf("%s %+v: error %v is not Invalid-class", kind, cfg, err)
+			}
+		}
 	}
 }
 

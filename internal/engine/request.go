@@ -59,36 +59,41 @@ func (k Kind) known() bool {
 // described by its value: two requests with equal identity fields compute
 // identical results (the determinism invariant of the pipeline), which is
 // what makes content-addressed caching sound.
+//
+// The JSON tags make Request its own interchange form for the cluster
+// peer protocol (MarshalWire/UnmarshalWire): every identity field
+// crosses the wire, Workers never does.
 type Request struct {
 	// Kind selects the entry point.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// Config is the platform configuration (all kinds; KindCodes reads
 	// only CodeType, Base and CodeLength from it).
-	Config core.Config
+	Config core.Config `json:"config"`
 	// Experiment is the registry name for KindExperiment.
-	Experiment string
+	Experiment string `json:"experiment,omitempty"`
 	// Grid is the parameter grid for KindSweep (zero = default grid).
-	Grid sweep.Grid
+	Grid sweep.Grid `json:"grid"`
 	// Objective ranks designs for KindOptimize.
-	Objective core.Objective
+	Objective core.Objective `json:"objective"`
 	// Types are the code families for KindOptimize (nil = all).
-	Types []code.Type
+	Types []code.Type `json:"types,omitempty"`
 	// Lengths are the code lengths for KindOptimize (nil = 4..12 even).
-	Lengths []int
+	Lengths []int `json:"lengths,omitempty"`
 	// Count is the number of words to emit for KindCodes (0 = the whole
 	// space, capped at 64 — the historical nwcodes default).
-	Count int
+	Count int `json:"count,omitempty"`
 	// Seed drives the stochastic kinds (KindMonteCarlo, KindExperiment,
 	// KindFabricate).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Trials is the repetition count for KindMonteCarlo and the
 	// Monte-Carlo experiments (KindExperiment; 0 = the runner default).
-	Trials int
+	Trials int `json:"trials,omitempty"`
 	// Workers bounds the worker pool (0 = GOMAXPROCS). It is an
 	// execution detail: results are bit-identical at every worker count,
 	// so Workers is excluded from the cache key — a request computed at
-	// one worker count serves all others.
-	Workers int
+	// one worker count serves all others. For the same reason it stays
+	// off the wire: the owning node computes with its own worker bound.
+	Workers int `json:"-"`
 
 	// key memoizes Key(). The engine facade fills it once per Do call so
 	// the backend layers below share one fingerprint computation.

@@ -1,14 +1,7 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
-	"io"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"time"
 
 	"nwdec/internal/cluster"
 	"nwdec/internal/dataset"
@@ -18,47 +11,24 @@ import (
 
 // RingExecutor routes each chunk to its owning node on the cluster's
 // consistent-hash ring and computes locally when this node is the owner
-// — the job-layer analogue of cluster.PeerBackend. The routing key is
-// Spec.ChunkKey (job id + chunk index, the same fingerprint chain as
-// every other content address; Workers excluded), so every node agrees
-// on each chunk's home. Any peer failure — connection, timeout, non-200,
-// wrong-key response, undecodable body — falls back to computing the
-// chunk locally, exactly like the request protocol: a dead node degrades
-// the fleet to slower locality, never to a failed job. The submitting
-// Runner still owns checkpointing, so which node computed a chunk never
-// affects the persisted bytes.
-//
-// SetPeers rebuilds the membership at runtime (safe during running
-// jobs): chunks already in flight finish against the ring they routed
-// on; subsequent chunks route against the new one.
+// — the job-layer analogue of cluster.PeerBackend, over the same
+// cluster.Members transport. The routing key is Spec.ChunkKey (job id +
+// chunk index, the same fingerprint chain as every other content
+// address; Workers excluded), so every node agrees on each chunk's home.
+// Any peer failure — connection, timeout, non-200, wrong-key response,
+// undecodable body — falls back to computing the chunk locally, exactly
+// like the request protocol: a dead node degrades the fleet to slower
+// locality, never to a failed job. The submitting Runner still owns
+// checkpointing, so which node computed a chunk never affects the
+// persisted bytes. Membership is fixed at construction.
 type RingExecutor struct {
-	local   Executor
-	self    string
-	client  *http.Client
-	timeout time.Duration
-
-	mu    sync.RWMutex
-	ring  *cluster.Ring
-	peers map[string]string
-
+	*cluster.Members
+	local Executor
 	stats execStats
 }
 
-// RingOptions configures a RingExecutor.
-type RingOptions struct {
-	// Self is this node's ring identity. Chunks the ring assigns to Self
-	// are computed locally.
-	Self string
-	// Peers maps every *other* node's ID to its base URL. Self must not
-	// appear as a key.
-	Peers map[string]string
-	// VirtualNodes is the ring multiplicity (0 = cluster default).
-	VirtualNodes int
-	// Timeout bounds one peer chunk fetch (0 = cluster.DefaultPeerTimeout).
-	Timeout time.Duration
-	// Client issues the peer requests (nil = a private default client).
-	Client *http.Client
-}
+// RingOptions configures a RingExecutor: the node's fleet membership.
+type RingOptions = cluster.Options
 
 // NewRingExecutor builds the routing layer over the local executor
 // (normally a LocalExecutor; any Executor works). The ring membership is
@@ -67,69 +37,11 @@ func NewRingExecutor(local Executor, opts RingOptions) (*RingExecutor, error) {
 	if local == nil {
 		return nil, nwerr.Invalidf("jobs: ring executor needs a local executor to fall back on")
 	}
-	if opts.Self == "" {
-		return nil, nwerr.Invalidf("jobs: ring executor needs a non-empty node id")
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = cluster.DefaultPeerTimeout
-	}
-	e := &RingExecutor{
-		local:   local,
-		self:    opts.Self,
-		client:  client,
-		timeout: timeout,
-	}
-	if err := e.setPeers(opts.Peers, opts.VirtualNodes); err != nil {
+	m, err := cluster.NewMembers(opts)
+	if err != nil {
 		return nil, err
 	}
-	return e, nil
-}
-
-// SetPeers replaces the fleet membership: the ring is rebuilt over Self
-// plus every key of peers, atomically with respect to concurrent
-// Execute calls. An empty map is valid and routes every chunk locally.
-func (e *RingExecutor) SetPeers(peers map[string]string) error {
-	return e.setPeers(peers, 0)
-}
-
-func (e *RingExecutor) setPeers(peers map[string]string, vnodes int) error {
-	if _, ok := peers[e.self]; ok {
-		return nwerr.Invalidf("jobs: peer set must not contain this node %q", e.self)
-	}
-	nodes := make([]string, 0, len(peers)+1)
-	nodes = append(nodes, e.self)
-	bases := make(map[string]string, len(peers))
-	for id, base := range peers {
-		if base == "" {
-			return nwerr.Invalidf("jobs: peer %q has an empty URL", id)
-		}
-		nodes = append(nodes, id)
-		bases[id] = strings.TrimSuffix(base, "/")
-	}
-	// Ring placement depends only on the membership set, but keep the
-	// slice deterministic anyway (this is a deterministic package).
-	sort.Strings(nodes)
-	ring, err := cluster.NewRing(nodes, vnodes)
-	if err != nil {
-		return nwerr.Invalid(err)
-	}
-	e.mu.Lock()
-	e.ring = ring
-	e.peers = bases
-	e.mu.Unlock()
-	return nil
-}
-
-// Ring exposes the executor's current ring, for ownership introspection.
-func (e *RingExecutor) Ring() *cluster.Ring {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.ring
+	return &RingExecutor{Members: m, local: local}, nil
 }
 
 // Execute routes the chunk: local if this node owns its key (or the spec
@@ -141,15 +53,12 @@ func (e *RingExecutor) Execute(ctx context.Context, spec Spec, chunk Chunk) (*da
 		return e.local.Execute(ctx, spec, chunk)
 	}
 	key := spec.ChunkKey(chunk.Index)
-	e.mu.RLock()
-	owner := e.ring.Owner(key)
-	base, ok := e.peers[owner]
-	e.mu.RUnlock()
-	if owner == "" || owner == e.self || !ok {
+	base, ok := e.PeerFor(key)
+	if !ok {
 		obs.From(ctx).Counter("jobs/peer_local").Add(1)
 		return e.local.Execute(ctx, spec, chunk)
 	}
-	ds, err := e.fetch(ctx, base, owner, spec, chunk.Index, key)
+	ds, err := e.fetch(ctx, base, spec, chunk.Index, key)
 	if err != nil {
 		e.stats.errors.Add(1)
 		reg := obs.From(ctx)
@@ -172,46 +81,20 @@ func (e *RingExecutor) Stats() ExecutorStats { return e.stats.snapshot("ring") }
 // fields plus the index; the response's key header must echo the routing
 // key — a mismatch means the peer evaluated a different partition (a
 // version or configuration skew) and the response is rejected rather
-// than checkpointed. Like PeerBackend.fetch, the fetch is bounded by the
-// per-peer timeout but stays on the caller's goroutine: the hedge
-// against a dead peer is the local fallback in Execute.
-func (e *RingExecutor) fetch(ctx context.Context, base, owner string, spec Spec, idx int, key string) (ds *dataset.Dataset, err error) {
+// than checkpointed.
+func (e *RingExecutor) fetch(ctx context.Context, base string, spec Spec, idx int, key string) (*dataset.Dataset, error) {
 	body, err := spec.chunkWire(idx).MarshalWire()
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, e.timeout)
-	defer cancel()
 	span := obs.From(ctx).StartSpan("jobs/peer_fetch")
 	defer span.End()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+cluster.ChunkPath, bytes.NewReader(body))
+	ds, hdr, err := e.Post(ctx, base, cluster.ChunkPath, body)
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := e.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := hresp.Body.Close(); err == nil && cerr != nil {
-			err, ds = cerr, nil
-		}
-	}()
-	if hresp.StatusCode != http.StatusOK {
-		// Drain a little for connection reuse; the text is diagnostic only.
-		msg, rerr := io.ReadAll(io.LimitReader(hresp.Body, 512))
-		if rerr != nil {
-			msg = []byte("(unreadable body: " + rerr.Error() + ")")
-		}
-		return nil, nwerr.Internalf("jobs: peer %s: status %d: %s", owner, hresp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	if got := hresp.Header.Get(cluster.ChunkKeyHeader); got != key {
-		return nil, nwerr.Internalf("jobs: peer %s answered chunk key %q, want %q", owner, got, key)
-	}
-	ds, err = dataset.ParseJSON(hresp.Body)
-	if err != nil {
-		return nil, err
+	if got := hdr.Get(cluster.ChunkKeyHeader); got != key {
+		return nil, nwerr.Internalf("jobs: peer %s answered chunk key %q, want %q", base, got, key)
 	}
 	return ds, nil
 }

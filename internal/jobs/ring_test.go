@@ -210,74 +210,4 @@ func TestRingExecutorValidation(t *testing.T) {
 	if _, err := NewRingExecutor(&LocalExecutor{}, RingOptions{Self: "a", Peers: map[string]string{"b": ""}}); !nwerr.IsInvalid(err) {
 		t.Errorf("empty peer URL: err = %v, want Invalid-class", err)
 	}
-	re, err := NewRingExecutor(&LocalExecutor{}, RingOptions{Self: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.SetPeers(map[string]string{"a": "http://x"}); !nwerr.IsInvalid(err) {
-		t.Errorf("SetPeers(self) = %v, want Invalid-class", err)
-	}
-}
-
-// TestRingChurnDuringJob is the -race membership-churn test: SetPeers
-// flips the ring repeatedly while a distributed job runs, and the job
-// must still complete with output byte-identical to a single-node run —
-// chunks in flight finish against the ring they routed on, later chunks
-// route against the new one, and a shrunken ring only shifts work
-// locally, never corrupts it.
-func TestRingChurnDuringJob(t *testing.T) {
-	spec := ringSpec()
-	want := sweepJSON(t, spec)
-	srvB, _ := chunkServer(t, "b")
-	defer srvB.Close()
-	re, err := NewRingExecutor(&LocalExecutor{}, RingOptions{
-		Self:  "a",
-		Peers: map[string]string{"b": srvB.URL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(NewMemoryStore(), Options{Executor: re, Node: "a"})
-	defer r.Close()
-	st, err := r.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churned := make(chan struct{})
-	go func() {
-		defer close(churned)
-		peers := map[string]string{"b": srvB.URL}
-		for i := 0; i < 200; i++ {
-			var set map[string]string
-			if i%2 == 0 {
-				set = nil // single-node ring: everything local
-			} else {
-				set = peers
-			}
-			if err := re.SetPeers(set); err != nil {
-				t.Errorf("SetPeers: %v", err)
-				return
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-	st, err = r.Wait(context.Background(), st.ID)
-	<-churned
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateComplete {
-		t.Fatalf("state = %s (%s), want complete", st.State, st.Error)
-	}
-	page, err := r.Results(st.ID, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := page.Dataset.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Error("churned distributed run differs from synchronous sweep output")
-	}
 }

@@ -1,6 +1,6 @@
 // Package lint is the project's static-analysis engine: a modular,
 // type-aware analyzer framework in the shape of go/analysis (stdlib
-// only, built on go/ast + go/types) plus the nine project-invariant
+// only, built on go/ast + go/types) plus the eight project-invariant
 // analyzers that turn the repository's correctness conventions into
 // machine-checked rules.
 //
@@ -34,10 +34,7 @@
 //     anywhere is accessed atomically everywhere (rule "atomicfield");
 //   - layering — the package DAG is pinned: the engine never imports the
 //     cluster, obs stays below the pipeline, and the text renderers are
-//     reachable only from the edges (rule "layering");
-//   - wire parity — every identity field of engine.Request round-trips
-//     through the peer-protocol wire form, and Workers never does (rule
-//     "wireparity").
+//     reachable only from the edges (rule "layering").
 //
 // A diagnostic can be suppressed at a specific site with a directive
 // comment on the same line or the line above:
@@ -74,11 +71,11 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// All returns the nine project analyzers in stable order.
+// All returns the eight project analyzers in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, CtxFirst, NoGoroutine, ErrCheck, PrintBound,
-		ScratchConfine, AtomicField, Layering, WireParity,
+		ScratchConfine, AtomicField, Layering,
 	}
 }
 

@@ -11,9 +11,9 @@
 #          2. go build ./...  — everything compiles
 #          3. go vet ./...    — static checks
 #          4. go run ./cmd/nwlint ./...  — the project-invariant analyzer;
-#             the tree must be free of diagnostics under all nine rules
+#             the tree must be free of diagnostics under all eight rules
 #             (determinism, ctxfirst, nogoroutine, errcheck, printbound,
-#             scratchconfine, atomicfield, layering, wireparity). The JSON
+#             scratchconfine, atomicfield, layering). The JSON
 #             report lands in ci-artifacts/nwlint.json and a `-diff` dry
 #             run asserts the tree is fix-clean (no suggested fix left
 #             unapplied)
@@ -21,7 +21,10 @@
 #   test   5. go test -race -count=1 ./...  — full suite under the race
 #             detector, cache disabled; this is what keeps internal/par,
 #             the shared generator cache and the jobs runner race-clean
-#             and exercises the serial-vs-parallel determinism tests
+#             and exercises the serial-vs-parallel determinism tests;
+#             then go vet and go test over the nested perfbench module,
+#             which root ./... cannot see, so an API change that breaks
+#             the benchmark build fails here rather than at benchmark time
 #          6. coverage gate — go run ./scripts/covergate enforces
 #             per-package statement-coverage floors over
 #             internal/{par,code,dataset,obs,engine,jobs,cluster,nwerr,
@@ -59,8 +62,9 @@
 #             nonzero peer_served count in the ring accounting line. The
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
-#         13. fuzz smoke — 10s of real fuzzing per internal/code fuzz
-#             target, auto-discovered from the test files
+#         13. fuzz smoke — 10s of real fuzzing per Fuzz target, each run
+#             in its own package; targets are auto-discovered from the
+#             test files of every package
 #
 # Every stage ends with a per-step wall-time table (rendered by
 # scripts/citimes through internal/dataset). Exits non-zero on the first
@@ -142,6 +146,7 @@ run_nwlint() {
 
 run_tests() {
 	go test -race -count=1 ./...
+	(cd perfbench && go vet ./... && go test -count=1 ./...)
 }
 
 run_cover() {
@@ -402,14 +407,18 @@ run_dist_smoke() {
 }
 
 run_fuzz_smoke() {
-	targets="$(grep -hEo '^func Fuzz[A-Za-z0-9_]*' internal/code/*_test.go | awk '{print $2}' | sort)"
+	# "package-dir target" pairs over every package of the module (the
+	# nested perfbench module and analyzer fixtures are not in it).
+	targets="$(grep -rEo --include='*_test.go' --exclude-dir=perfbench \
+		--exclude-dir=testdata --exclude-dir="$artifacts" '^func Fuzz[A-Za-z0-9_]*' . |
+		sed -n 's|^\(.*\)/[^/]*_test\.go:func \(Fuzz.*\)$|\1 \2|p' | sort -u)"
 	if [ -z "$targets" ]; then
-		echo "fuzz smoke: no Fuzz targets found in internal/code" >&2
+		echo "fuzz smoke: no Fuzz targets found" >&2
 		return 1
 	fi
-	for target in $targets; do
-		echo "-- $target"
-		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s ./internal/code
+	printf '%s\n' "$targets" | while read -r dir target; do
+		echo "-- $dir $target"
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s "$dir" || exit 1
 	done
 }
 
