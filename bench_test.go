@@ -669,3 +669,34 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineCacheHitJSON times what a warm HTTP hit asks of the
+// engine: Do plus the response's JSON form. The set-up renders the JSON
+// once, so every iteration reads the cached result's memo and the JSON
+// costs nothing beyond the hit itself; allocs/op is the gated signal.
+func BenchmarkEngineCacheHitJSON(b *testing.B) {
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm, err := eng.Do(context.Background(), engineBenchRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := warm.JSON(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := eng.Do(context.Background(), engineBenchRequest())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.CacheHit {
+			b.Fatal("warmed engine missed the cache")
+		}
+		if _, err := resp.JSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

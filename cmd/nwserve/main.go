@@ -29,7 +29,9 @@
 //	DELETE /v1/jobs/{id}          remove a terminal job and its checkpoints → 204
 //
 // Synchronous responses carry X-Cache (hit, miss, or hit-peer/miss-peer
-// when a cluster peer served the result) and X-Request-Key headers. Job
+// when a cluster peer served the result), X-Request-Key and
+// Content-Length headers; the body is the cached result's JSON, rendered
+// once and shared by every later hit. Job
 // responses carry X-Job-State (and, on results, X-Job-Chunks: the chunk
 // count included in the body) so pollers can follow progress without
 // parsing bodies; /results streams the contiguous checkpointed prefix
@@ -742,7 +744,11 @@ func writeJobStatus(w http.ResponseWriter, st jobs.Status, code int) {
 
 // handle adapts a request parser into an HTTP handler: parse, submit to
 // the serving backend with the server's worker bound, map the error
-// class to a status, render the dataset as JSON.
+// class to a status, write the result's JSON. The body comes from
+// Response.JSON — on a warm key the bytes rendered once for the cached
+// result, on a peer-served key the owner's body — and is obtained
+// before any status is committed, so an encode failure still answers
+// with its class's status.
 func (s *server) handle(parse func(*http.Request) (engine.Request, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, err := parse(r)
@@ -756,16 +762,17 @@ func (s *server) handle(parse func(*http.Request) (engine.Request, error)) http.
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Request-Key", resp.Key)
-		w.Header().Set("X-Cache", cacheStatus(resp))
-		if resp.Dataset == nil {
-			if _, err := fmt.Fprintln(w, `{}`); err != nil {
-				fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
-			}
+		raw, err := resp.JSON()
+		if err != nil {
+			writeError(w, err)
 			return
 		}
-		if err := resp.Dataset.Render(w, dataset.FormatJSON); err != nil {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(raw)))
+		h.Set("X-Request-Key", resp.Key)
+		h.Set("X-Cache", cacheStatus(resp))
+		if _, err := w.Write(raw); err != nil {
 			fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
 		}
 	}

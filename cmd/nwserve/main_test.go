@@ -1,27 +1,41 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
+	"nwdec/internal/cluster"
+	"nwdec/internal/code"
+	"nwdec/internal/core"
 	"nwdec/internal/engine"
 	"nwdec/internal/jobs"
+	"nwdec/internal/sweep"
 )
 
-// TestDesignQueryStatus drives the HTTP routes through srv.mux(): design
-// parameters the library rejects answer 400 with class "invalid" — not
-// 500 "internal", and not a silent 200 with the default design.
-func TestDesignQueryStatus(t *testing.T) {
+// newTestServer builds a single-node server over a fresh engine.
+func newTestServer(t testing.TB) *server {
+	t.Helper()
 	eng, err := engine.New(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runner := jobs.NewRunner(jobs.NewMemoryStore(), jobs.Options{Workers: 1, Node: "local"})
-	defer runner.Close()
-	srv := &server{eng: eng, backend: eng, runner: runner, workers: 1, node: "local"}
-	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(runner.Close)
+	return &server{eng: eng, backend: eng, runner: runner, workers: 1, node: "local"}
+}
+
+// TestDesignQueryStatus drives the HTTP routes through srv.mux(): design
+// parameters the library rejects, and results the JSON form cannot
+// carry, answer 400 with class "invalid" — not 500 "internal", and not a
+// silent 200 with the default design or an empty body.
+func TestDesignQueryStatus(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t).mux())
 	defer ts.Close()
 
 	for _, tc := range []struct {
@@ -38,6 +52,12 @@ func TestDesignQueryStatus(t *testing.T) {
 		{"/v1/design?rawbits=-5", http.StatusBadRequest, "invalid"},
 		{"/v1/design?wires=many", http.StatusBadRequest, "invalid"},
 		{"/v1/experiment/nope", http.StatusNotFound, "not_found"},
+		// The yield underflows to zero, so the effective bit area is +Inf:
+		// a value the JSON form cannot carry. The request, not the server,
+		// is at fault, and the status is decided before any body is sent.
+		{"/v1/design?sigma=1e100", http.StatusBadRequest, "invalid"},
+		{"/v1/sweep?sigmas=1e300", http.StatusBadRequest, "invalid"},
+		{"/v1/optimize?sigma=1e300", http.StatusBadRequest, "invalid"},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
 			resp, err := http.Get(ts.URL + tc.path)
@@ -59,5 +79,178 @@ func TestDesignQueryStatus(t *testing.T) {
 				t.Errorf("class = %q (%s), want %q", body.Class, body.Error, tc.class)
 			}
 		})
+	}
+}
+
+// routeCases pairs one public route of every cacheable kind with the
+// engine request it parses to; the tests check the pairing through the
+// X-Request-Key header.
+var routeCases = []struct {
+	path string
+	req  engine.Request
+}{
+	{"/v1/design?type=hc&length=6&sigma=0.04",
+		engine.Request{Kind: engine.KindDesign, Config: core.Config{CodeType: code.TypeHot, CodeLength: 6, SigmaT: 0.04}}},
+	{"/v1/optimize?objective=yield",
+		engine.Request{Kind: engine.KindOptimize, Objective: core.MaxYield}},
+	{"/v1/montecarlo?trials=2&seed=7",
+		engine.Request{Kind: engine.KindMonteCarlo, Trials: 2, Seed: 7}},
+	{"/v1/experiment/fig5",
+		engine.Request{Kind: engine.KindExperiment, Experiment: "fig5"}},
+	{"/v1/sweep?lengths=4,6&sigmas=0.05",
+		engine.Request{Kind: engine.KindSweep, Grid: sweep.Grid{Lengths: []int{4, 6}, SigmaTs: []float64{0.05}}}},
+	{"/v1/codes?type=gc&length=6&count=8",
+		engine.Request{Kind: engine.KindCodes, Config: core.Config{CodeType: code.TypeGray, CodeLength: 6}, Count: 8}},
+}
+
+// freshJSON is the reference body: Dataset.JSON() of the request's result
+// from a newly built engine.
+func freshJSON(t *testing.T, req engine.Request) []byte {
+	t.Helper()
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := eng.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := resp.Dataset.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// fetch issues one request and returns the body, checking status 200
+// and that Content-Length matches the body.
+func fetch(t *testing.T, method, url string, body []byte) ([]byte, http.Header) {
+	t.Helper()
+	hreq, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, raw)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+		t.Errorf("%s %s: Content-Length %q, body %d bytes", method, url, cl, len(raw))
+	}
+	return raw, resp.Header
+}
+
+// TestServedBytes: for every cacheable kind, the public route's miss and
+// hit bodies and the peer route's body (owner-side miss on a fresh node,
+// hit on a warm one) all equal a fresh engine's Dataset.JSON(), with a
+// Content-Length that matches.
+func TestServedBytes(t *testing.T) {
+	warm := httptest.NewServer(newTestServer(t).mux())
+	defer warm.Close()
+	for _, tc := range routeCases {
+		t.Run(tc.path, func(t *testing.T) {
+			want := freshJSON(t, tc.req)
+			wire, err := tc.req.MarshalWire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := httptest.NewServer(newTestServer(t).mux())
+			defer cold.Close()
+			for _, c := range []struct {
+				name, method, url string
+				body              []byte
+				cache             string
+			}{
+				{"miss", http.MethodGet, warm.URL + tc.path, nil, "miss"},
+				{"hit", http.MethodGet, warm.URL + tc.path, nil, "hit"},
+				{"peer hit", http.MethodPost, warm.URL + cluster.PeerPath, wire, "hit"},
+				{"peer miss", http.MethodPost, cold.URL + cluster.PeerPath, wire, "miss"},
+			} {
+				got, hdr := fetch(t, c.method, c.url, c.body)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s body differs from a fresh engine's:\n%s\nvs\n%s", c.name, got, want)
+				}
+				if k := hdr.Get("X-Request-Key"); k != tc.req.Key() {
+					t.Errorf("%s: X-Request-Key %q, want %q", c.name, k, tc.req.Key())
+				}
+				if x := hdr.Get("X-Cache"); x != c.cache {
+					t.Errorf("%s: X-Cache %q, want %q", c.name, x, c.cache)
+				}
+			}
+		})
+	}
+}
+
+// TestPeerServedBytes: in a two-node fleet, a key the asked node does not
+// own is answered with the owner's body bytes, passed through unchanged
+// on both the owner's miss and its hit.
+func TestPeerServedBytes(t *testing.T) {
+	owner := httptest.NewServer(newTestServer(t).mux())
+	defer owner.Close()
+	asker := newTestServer(t)
+	pb, err := cluster.NewPeerBackend(asker.eng, cluster.Options{Self: "a", Peers: map[string]string{"b": owner.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asker.backend = pb
+	ts := httptest.NewServer(asker.mux())
+	defer ts.Close()
+	remote := 0
+	for _, tc := range routeCases {
+		if _, ok := pb.PeerFor(tc.req.Key()); !ok {
+			continue
+		}
+		remote++
+		want := freshJSON(t, tc.req)
+		for _, cache := range []string{"miss-peer", "hit-peer"} {
+			got, hdr := fetch(t, http.MethodGet, ts.URL+tc.path, nil)
+			if x := hdr.Get("X-Cache"); x != cache {
+				t.Errorf("%s: X-Cache %q, want %q", tc.path, x, cache)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s (%s): peer-served body differs from a fresh engine's", tc.path, cache)
+			}
+		}
+		direct, _ := fetch(t, http.MethodGet, owner.URL+tc.path, nil)
+		if !bytes.Equal(direct, want) {
+			t.Errorf("%s: owner's own body differs from a fresh engine's", tc.path)
+		}
+	}
+	if remote == 0 {
+		t.Fatal("no route case is owned by the peer; the test exercised no hop")
+	}
+	if got := pb.Stats().Served; got != int64(2*remote) {
+		t.Errorf("peer served %d requests, want %d", got, 2*remote)
+	}
+}
+
+// BenchmarkServeWarmHit times one warm GET /v1/experiment/fig7 through
+// the server's mux: routing, the engine hit path and the body write,
+// with no network.
+func BenchmarkServeWarmHit(b *testing.B) {
+	h := newTestServer(b).mux()
+	serveOnce := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/experiment/fig7", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	serveOnce()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serveOnce(); rec.Header().Get("X-Cache") != "hit" {
+			b.Fatal("warmed server missed the cache")
+		}
 	}
 }

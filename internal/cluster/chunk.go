@@ -6,6 +6,7 @@ import (
 
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
+	"nwdec/internal/nwerr"
 )
 
 // ChunkPath is the internal HTTP route of the chunk protocol: the job
@@ -49,7 +50,7 @@ type ChunkFunc func(ctx context.Context, req engine.ChunkRequest) (key string, d
 func ChunkHandler(node string, eval ChunkFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ChunkNodeHeader, node)
-		serve(w, r, func(ctx context.Context, body []byte) (*dataset.Dataset, http.Header, error) {
+		serve(w, r, func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
 			req, err := engine.UnmarshalChunkWire(body)
 			if err != nil {
 				return nil, nil, err
@@ -58,7 +59,14 @@ func ChunkHandler(node string, eval ChunkFunc) http.Handler {
 			if err != nil {
 				return nil, nil, err
 			}
-			return ds, http.Header{ChunkKeyHeader: {key}}, nil
+			if ds == nil {
+				return nil, nil, nwerr.Internalf("cluster: %s request produced no dataset", r.URL.Path)
+			}
+			raw, err := ds.JSON()
+			if err != nil {
+				return nil, nil, nwerr.Internal(err)
+			}
+			return raw, http.Header{ChunkKeyHeader: {key}}, nil
 		})
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -90,28 +91,30 @@ func (m *Members) PeerFor(key string) (base string, ok bool) {
 	return base, ok
 }
 
-// Post sends body to path on the peer at base and decodes the 200
-// response as a dataset, returned with the response headers. The call is
-// bounded by the peer timeout but stays on the caller's goroutine — the
-// hedge against a dead peer is the caller's local fallback, not a racing
-// goroutine (this package is goroutine-free by project policy). A
-// non-200 answer is an Internal-class error quoting the start of the
-// body.
-func (m *Members) Post(ctx context.Context, base, path string, body []byte) (ds *dataset.Dataset, hdr http.Header, err error) {
+// Post sends body to path on the peer at base and returns the 200
+// response's body bytes together with the dataset parsed from them and
+// the response headers. Parsing validates the body, so a caller may pass
+// raw on to its own clients instead of re-rendering the dataset. The
+// call is bounded by the peer timeout but stays on the caller's
+// goroutine — the hedge against a dead peer is the caller's local
+// fallback, not a racing goroutine (this package is goroutine-free by
+// project policy). A non-200 answer is an Internal-class error quoting
+// the start of the body.
+func (m *Members) Post(ctx context.Context, base, path string, body []byte) (ds *dataset.Dataset, raw []byte, hdr http.Header, err error) {
 	ctx, cancel := context.WithTimeout(ctx, m.timeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hresp, err := m.client.Do(hreq)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	defer func() {
 		if cerr := hresp.Body.Close(); err == nil && cerr != nil {
-			ds, hdr, err = nil, nil, cerr
+			ds, raw, hdr, err = nil, nil, nil, cerr
 		}
 	}()
 	if hresp.StatusCode != http.StatusOK {
@@ -120,37 +123,53 @@ func (m *Members) Post(ctx context.Context, base, path string, body []byte) (ds 
 		if rerr != nil {
 			msg = []byte("(unreadable body: " + rerr.Error() + ")")
 		}
-		return nil, nil, nwerr.Internalf("cluster: peer %s: status %d: %s", base, hresp.StatusCode, strings.TrimSpace(string(msg)))
+		return nil, nil, nil, nwerr.Internalf("cluster: peer %s: status %d: %s", base, hresp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	ds, err = dataset.ParseJSON(hresp.Body)
+	raw, err = readBody(hresp)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return ds, hresp.Header, nil
+	ds, err = dataset.ParseJSON(bytes.NewReader(raw))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ds, raw, hresp.Header, nil
+}
+
+// maxBodyHint caps the buffer readBody sizes from a peer's
+// Content-Length, so a bogus length cannot force a huge allocation up
+// front; a longer body still reads, growing as it goes.
+const maxBodyHint = 64 << 20
+
+// readBody reads a response body in one allocation when the peer
+// declared its length (serve always does), instead of growing a buffer
+// by doubling.
+func readBody(hresp *http.Response) ([]byte, error) {
+	n := hresp.ContentLength
+	if n < 0 || n > maxBodyHint {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	if _, err := buf.ReadFrom(hresp.Body); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // serve is the server half of the peer transport, shared by the request
 // and chunk protocols: it reads the (1 MiB-bounded) body, evaluates it
-// on the caller's goroutine, and writes the dataset as JSON with the
-// headers eval returned — or the error under its taxonomy status.
-func serve(w http.ResponseWriter, r *http.Request, eval func(ctx context.Context, body []byte) (*dataset.Dataset, http.Header, error)) {
+// on the caller's goroutine, and writes the JSON body eval returned with
+// its headers and Content-Length — or the error under its taxonomy
+// status.
+func serve(w http.ResponseWriter, r *http.Request, eval func(ctx context.Context, body []byte) ([]byte, http.Header, error)) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, nwerr.Invalidf("cluster: reading %s request: %w", r.URL.Path, err))
 		return
 	}
-	ds, hdr, err := eval(r.Context(), body)
+	raw, hdr, err := eval(r.Context(), body)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	if ds == nil {
-		writeError(w, nwerr.Internalf("cluster: %s request produced no dataset", r.URL.Path))
-		return
-	}
-	raw, err := ds.JSON()
-	if err != nil {
-		writeError(w, nwerr.Internal(err))
 		return
 	}
 	h := w.Header()
@@ -158,6 +177,7 @@ func serve(w http.ResponseWriter, r *http.Request, eval func(ctx context.Context
 		h[k] = v
 	}
 	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(raw)))
 	if _, err := w.Write(raw); err != nil {
 		return // client went away; nothing to salvage
 	}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/obs"
 )
@@ -98,7 +97,7 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 // fetch asks the owning node for the request's result. The owner runs
 // the request through its own engine facade, so validation, caching,
 // deduplication and admission all happen there; this side only moves
-// bytes.
+// bytes — the response's JSON is the owner's body, passed through.
 func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request, key string) (*engine.Response, error) {
 	body, err := req.MarshalWire()
 	if err != nil {
@@ -106,28 +105,24 @@ func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request
 	}
 	span := obs.From(ctx).StartSpan("cluster/peer/fetch")
 	defer span.End()
-	ds, hdr, err := b.Post(ctx, base, PeerPath, body)
+	ds, raw, hdr, err := b.Post(ctx, base, PeerPath, body)
 	if err != nil {
 		return nil, err
 	}
-	return &engine.Response{
-		Dataset:  ds,
-		CacheHit: hdr.Get(headerCache) == "hit",
-		Peer:     true,
-		Key:      key,
-	}, nil
+	return engine.PeerResponse(ds, raw, hdr.Get(headerCache) == "hit", key), nil
 }
 
 // PeerHandler serves PeerPath: it decodes the wire form of a request,
 // runs it through the local backend (the node's own engine facade — NOT
 // a peer backend, so a mis-routed request computes here instead of
-// bouncing around the ring), and writes the result dataset as JSON.
+// bouncing around the ring), and writes the result's JSON — on a cache
+// hit, the owner's memoized bytes, with no re-render.
 // Errors map to status codes through nwerr.HTTPStatus; an Overload
 // rejection carries Retry-After so a shedding owner pushes its peers
 // into their local-fallback path with a hint to come back.
 func PeerHandler(local engine.Backend) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serve(w, r, func(ctx context.Context, body []byte) (*dataset.Dataset, http.Header, error) {
+		serve(w, r, func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
 			req, err := engine.UnmarshalWire(body)
 			if err != nil {
 				return nil, nil, err
@@ -136,11 +131,15 @@ func PeerHandler(local engine.Backend) http.Handler {
 			if err != nil {
 				return nil, nil, err
 			}
+			raw, err := resp.JSON()
+			if err != nil {
+				return nil, nil, err
+			}
 			cache := "miss"
 			if resp.CacheHit {
 				cache = "hit"
 			}
-			return resp.Dataset, http.Header{headerKey: {resp.Key}, headerCache: {cache}}, nil
+			return raw, http.Header{headerKey: {resp.Key}, headerCache: {cache}}, nil
 		})
 	})
 }

@@ -27,13 +27,19 @@ func ParseKind(name string) (Kind, error) {
 // cached dataset as JSON and the requesting node reconstructs a Dataset
 // it can render in any format. The full-fidelity text renderer does not
 // cross the wire — Text() of a parsed dataset falls back to the generic
-// table — and Meta.Workers is absent from the form by design.
+// table — and Meta.Workers is absent from the form by design. The input
+// must be exactly one document: anything but whitespace after it is
+// rejected, because a peer's body bytes pass through to clients once
+// ParseJSON has accepted them.
 func ParseJSON(r io.Reader) (*Dataset, error) {
 	var doc jsonDataset
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("dataset: parsing JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("dataset: parsing JSON: trailing data after the document")
 	}
 	cols := make([]Column, len(doc.Columns))
 	for i, c := range doc.Columns {

@@ -74,6 +74,9 @@ func TestParseJSONRejects(t *testing.T) {
 		{"type-mismatch", `{"name":"x","columns":[{"name":"a","kind":"int"}],"rows":[["one"]]}`},
 		{"frac-as-int", `{"name":"x","columns":[{"name":"a","kind":"int"}],"rows":[[1.5]]}`},
 		{"num-as-bool", `{"name":"x","columns":[{"name":"a","kind":"bool"}],"rows":[[1]]}`},
+		{"trailing-doc", `{"name":"x","columns":[],"rows":[]} {}`},
+		{"trailing-brace", `{"name":"x","columns":[],"rows":[]}}`},
+		{"trailing-text", "{\"name\":\"x\",\"columns\":[],\"rows\":[]}\ngarbage"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,4 +97,44 @@ func TestParseKind(t *testing.T) {
 	if _, err := ParseKind("kind(9)"); err == nil {
 		t.Error("ParseKind accepted an unknown name")
 	}
+}
+
+// FuzzParseJSON holds ParseJSON — the only check a peer-served body
+// passes before its bytes reach a client — to its contract: any input is
+// either rejected with an error or parsed into a dataset whose JSON form
+// is a fixed point (rendering, parsing and rendering again reproduces
+// the same bytes). Nothing panics.
+func FuzzParseJSON(f *testing.F) {
+	for _, ds := range []*Dataset{sample(), New("e", "empty", Col("n", Int))} {
+		raw, err := ds.JSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"name":"x","columns":[{"name":"a","kind":"float"}],"rows":[[1e308],[-0.5]]}`))
+	f.Add([]byte(`{"name":"x","columns":[{"name":"a","kind":"int"}],"rows":[[9223372036854775807]]}`))
+	f.Add([]byte(`{"name":"x","columns":[{"name":"a","kind":"string"}],"rows":[["\u00e9\ufffd"]],"notes":[""]}`))
+	f.Add([]byte(`{"name":"x","columns":[],"rows":[]} {}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		first, err := ParseJSON(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		want, err := first.JSON()
+		if err != nil {
+			t.Fatalf("accepted input does not render: %v", err)
+		}
+		second, err := ParseJSON(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("rendered form does not parse: %v\n%s", err, want)
+		}
+		got, err := second.JSON()
+		if err != nil {
+			t.Fatalf("re-parsed dataset does not render: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("JSON form is not a fixed point:\n%s\nvs\n%s", got, want)
+		}
+	})
 }

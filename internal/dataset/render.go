@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -209,11 +210,11 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 
 // JSON renders the JSON form as bytes.
 func (d *Dataset) JSON() ([]byte, error) {
-	var sb strings.Builder
-	if err := d.WriteJSON(&sb); err != nil {
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
-	return []byte(sb.String()), nil
+	return buf.Bytes(), nil
 }
 
 // WriteJSONArray emits multiple datasets as one indented JSON array, for

@@ -37,7 +37,8 @@ func (b *cacheBackend) len() int { return b.cache.len() }
 // Handle serves from the cache, or delegates and caches the computed
 // original. The cached original never leaves the layer: hits return a
 // caller-private clone, and the computed response is cloned on the way
-// out for the same reason.
+// out for the same reason. Before the original is stored it gains the
+// shared JSON memo that every clone of it carries (see Response.JSON).
 func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, error) {
 	b.stats.requests.Add(1)
 	if !req.Kind.cacheable() {
@@ -56,6 +57,7 @@ func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, erro
 		b.stats.errors.Add(1)
 		return nil, err
 	}
+	resp.encoded = &encoded{ds: resp.Dataset}
 	evicted := b.cache.add(key, resp, resp.cost())
 	if evicted > 0 {
 		reg.Counter("engine/cache/evictions").Add(int64(evicted))

@@ -293,12 +293,17 @@ func TestWorkersExcludedFromKey(t *testing.T) {
 }
 
 // TestCachedDatasetIsPrivate: each caller gets an independent clone, so
-// annotating one response never contaminates the cached original.
+// annotating one response never contaminates the cached original — nor
+// the JSON form rendered from it, which every later response shares.
 func TestCachedDatasetIsPrivate(t *testing.T) {
 	ctx, _ := obsCtx()
 	eng := newEngine(t, engine.Options{})
 	req := engine.Request{Kind: engine.KindCodes, Count: 4}
 	first, err := eng.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := first.Dataset.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +318,28 @@ func TestCachedDatasetIsPrivate(t *testing.T) {
 	}
 	if len(second.Dataset.Notes) != notes {
 		t.Errorf("caller mutation leaked into the cache: %d notes, want %d", len(second.Dataset.Notes), notes)
+	}
+	// Mutate the hit's dataset every way a caller can — notes, rows in
+	// place and appended, metadata — before anything renders JSON.
+	second.Dataset.Note("another annotation")
+	second.Dataset.Rows[0][0] = "overwritten"
+	second.Dataset.Rows = append(second.Dataset.Rows, second.Dataset.Rows[0])
+	second.Dataset.Meta.Seed, second.Dataset.Meta.Experiment = 99, "tampered"
+	for i, resp := range []*engine.Response{first, second} {
+		got, err := resp.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("response %d: caller mutation leaked into the JSON form:\n%s", i, got)
+		}
+	}
+	third, err := eng.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := third.JSON(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("later hit JSON = %s, %v; want the unmutated bytes", got, err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"encoding/json"
+	"errors"
+	"sync"
+
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/crossbar"
@@ -156,9 +160,9 @@ func (r Request) validate() error {
 // Response is the result of one request. Dataset is always set except for
 // KindFabricate. The kind-specific payloads (Design, Rows, Yield) are
 // shared between callers of the same cached result and must be treated as
-// read-only; Dataset is a private clone, safe to annotate. Memory and RNG
-// come only from the uncached KindFabricate, so they are exclusively the
-// caller's.
+// read-only, as are the bytes JSON returns; Dataset is a private clone,
+// safe to annotate. Memory and RNG come only from the uncached
+// KindFabricate, so they are exclusively the caller's.
 type Response struct {
 	// Dataset is the structured result (nil for KindFabricate).
 	Dataset *dataset.Dataset
@@ -186,12 +190,91 @@ type Response struct {
 	Peer bool
 	// Key is the request's content address, for logging and HTTP headers.
 	Key string
+
+	// encoded memoizes the JSON form of the result. Every response served
+	// from one cached original (the computing caller, cache hits, joined
+	// flight followers) shares it, so the original renders at most once;
+	// a result too costly to store still shares it among its flight. A
+	// peer-served response carries the owner's body bytes in it. Nil for
+	// a response that never passed the cache layer.
+	encoded *encoded
+}
+
+// encoded is the shared, lazily rendered JSON form of one result. ds is
+// the cached original, never the caller's private clone, so no caller
+// annotation can leak into the bytes; raw is read-only once rendered.
+type encoded struct {
+	once sync.Once
+	ds   *dataset.Dataset
+	raw  []byte
+	err  error
+}
+
+// bytes renders the form on first use and returns the shared result.
+func (e *encoded) bytes() ([]byte, error) {
+	e.once.Do(func() {
+		if e.raw == nil {
+			e.raw, e.err = encodeJSON(e.ds)
+		}
+	})
+	return e.raw, e.err
+}
+
+// PeerResponse builds the response of a request served by the key's
+// owning node: ds is the dataset parsed from the owner's body and raw
+// the body itself, which JSON returns as is instead of re-rendering ds.
+// raw must be the JSON form of ds and is shared read-only.
+func PeerResponse(ds *dataset.Dataset, raw []byte, hit bool, key string) *Response {
+	return &Response{
+		Dataset:  ds,
+		CacheHit: hit,
+		Peer:     true,
+		Key:      key,
+		encoded:  &encoded{ds: ds, raw: raw},
+	}
+}
+
+// JSON returns the result's JSON interchange form (Dataset.WriteJSON
+// bytes). A response served from the cache shares one rendering of the
+// cached original with every other response for its key: the first
+// call renders it, later calls and later hits return the same slice,
+// which callers must not modify. The bytes describe the result as
+// computed, not caller annotations on Dataset, and do not depend on the
+// worker count (Meta.Workers is not part of the form). A response that
+// never passed the cache layer renders its Dataset on each call; one
+// without a dataset (KindFabricate) is an Internal-class error.
+//
+// A result holding a value JSON cannot carry (an infinite bit area,
+// where the yield underflows to zero) is Invalid-class: the request's
+// parameters, not the server, put it out of the form's reach. Any other
+// encode failure is Internal.
+func (r *Response) JSON() ([]byte, error) {
+	if r.encoded != nil {
+		return r.encoded.bytes()
+	}
+	return encodeJSON(r.Dataset)
+}
+
+// encodeJSON renders ds under the error classes JSON documents.
+func encodeJSON(ds *dataset.Dataset) ([]byte, error) {
+	if ds == nil {
+		return nil, nwerr.Internalf("engine: response carries no dataset to encode")
+	}
+	raw, err := ds.JSON()
+	var unsupported *json.UnsupportedValueError
+	if errors.As(err, &unsupported) {
+		return nil, nwerr.Invalidf("engine: %s result is not representable as JSON: %w", ds.Name, err)
+	}
+	if err != nil {
+		return nil, nwerr.Internal(err)
+	}
+	return raw, nil
 }
 
 // clone returns the caller's private view of a response: the dataset is
 // deep-copied (and stamped with the request's worker count — an execution
 // detail excluded from serialization) so no caller can mutate the cached
-// original.
+// original. The JSON memo is shared, not copied: it renders the original.
 func (r *Response) clone(req Request, hit bool) *Response {
 	out := *r
 	out.CacheHit = hit

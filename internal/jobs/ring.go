@@ -89,7 +89,7 @@ func (e *RingExecutor) fetch(ctx context.Context, base string, spec Spec, idx in
 	}
 	span := obs.From(ctx).StartSpan("jobs/peer_fetch")
 	defer span.End()
-	ds, hdr, err := e.Post(ctx, base, cluster.ChunkPath, body)
+	ds, _, hdr, err := e.Post(ctx, base, cluster.ChunkPath, body)
 	if err != nil {
 		return nil, err
 	}
