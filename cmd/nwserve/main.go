@@ -1,16 +1,15 @@
 // Command nwserve is the HTTP JSON facade of the decoder pipeline: a
 // minimal stdlib net/http server that exposes the internal/engine serving
 // layer — designs, optimization, Monte-Carlo yield, experiments, sweeps
-// and code listings — with the engine's result cache, singleflight
-// deduplication and admission control shared across all clients of the
-// process.
+// and code listings — with the engine's result memo (cached and
+// in-flight results) and admission control shared across all clients of
+// the process.
 //
 // Usage:
 //
 //	nwserve [-addr HOST:PORT] [-cache-entries N] [-cache-cost C]
 //	        [-inflight N] [-shed] [-node-id ID] [-peers ID=URL,...]
 //	        [-job-store DIR] [-job-gc D] [-workers W] [-timeout D]
-//	        [-smoke] [-peer-smoke]
 //	        [-metrics text|json|csv|md] [-metrics-out FILE] [-pprof DIR]
 //
 // Endpoints (JSON):
@@ -64,12 +63,7 @@
 // removes one terminal job on demand. See internal/jobs and DESIGN §15.
 //
 // The server shuts down gracefully when its context is cancelled: on
-// SIGINT/SIGTERM or when -timeout elapses. -smoke starts the server on a
-// loopback port, issues one self-request, verifies the response and
-// exits; -peer-smoke starts a two-node in-process fleet, fetches the
-// same experiment twice through the non-owning node and verifies
-// miss-peer then hit-peer — the CI checks for the single-node and
-// clustered paths.
+// SIGINT/SIGTERM or when -timeout elapses.
 package main
 
 import (
@@ -77,13 +71,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -110,8 +102,6 @@ func main() {
 		peersFlag    = flag.String("peers", "", "other fleet nodes as ID=URL,ID=URL (enables cluster routing)")
 		jobStore     = flag.String("job-store", "", "checkpoint directory for async jobs (empty = in-memory, no kill/restart durability)")
 		jobGC        = flag.Duration("job-gc", 0, "collect terminal jobs untouched for this long (0 = never; needs -job-store)")
-		smoke        = flag.Bool("smoke", false, "start on a loopback port, self-request once, verify and exit")
-		peerSmoke    = flag.Bool("peer-smoke", false, "start a two-node in-process fleet, verify miss-peer then hit-peer and exit")
 	)
 	c := cli.Register("nwserve", "json")
 	flag.Parse()
@@ -120,14 +110,6 @@ func main() {
 	defer c.Close()
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *peerSmoke {
-		if err := runPeerSmoke(ctx, c.Workers); err != nil {
-			c.Exit(err)
-		}
-		fmt.Fprintln(os.Stderr, "nwserve: peer smoke ok (miss-peer then hit-peer via the key's owner)")
-		return
-	}
 
 	eng, err := engine.New(engine.Options{
 		MaxEntries:  *cacheEntries,
@@ -181,11 +163,7 @@ func main() {
 		go gcLoop(ctx, runner, *jobGC)
 	}
 	srv := &server{eng: eng, backend: backend, runner: runner, workers: c.Workers, node: node}
-	listenAddr := *addr
-	if *smoke {
-		listenAddr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		c.Exit(err)
 	}
@@ -197,20 +175,6 @@ func main() {
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "nwserve: listening on http://%s\n", ln.Addr())
-
-	if *smoke {
-		if err := smokeTest(ctx, ln.Addr().String()); err != nil {
-			if serr := shutdown(hs, served); serr != nil {
-				fmt.Fprintf(os.Stderr, "nwserve: %v\n", serr)
-			}
-			c.Exit(err)
-		}
-		if err := shutdown(hs, served); err != nil {
-			c.Exit(err)
-		}
-		fmt.Fprintln(os.Stderr, "nwserve: smoke ok (request served, graceful shutdown)")
-		return
-	}
 
 	select {
 	case <-ctx.Done():
@@ -265,272 +229,6 @@ func shutdown(hs *http.Server, served chan error) error {
 		return err
 	}
 	return nil
-}
-
-// smokeTest issues one experiment request against the just-started
-// server and verifies a 200 with a parseable dataset body plus the
-// engine's response headers, then exercises the async job path: submit a
-// small grid job, poll its status to completion, and fetch the assembled
-// results.
-func smokeTest(ctx context.Context, addr string) error {
-	name, cache, err := fetchExperiment(ctx, "http://"+addr, "fig5")
-	if err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	if name != "fig5" {
-		return fmt.Errorf("smoke: dataset name %q, want fig5", name)
-	}
-	if cache != "hit" && cache != "miss" {
-		return fmt.Errorf("smoke: X-Cache %q, want hit or miss", cache)
-	}
-	if err := jobSmoke(ctx, "http://"+addr); err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	return nil
-}
-
-// jobSmoke drives one tiny job through POST /v1/jobs, the status poll
-// and GET /results, verifying the 202 → complete → dataset lifecycle.
-func jobSmoke(ctx context.Context, base string) error {
-	rctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	// code.Type serializes as its enum int (1 = Gray code), matching the
-	// engine wire form.
-	body := `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[0.05]},"chunk":1}`
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, base+"/v1/jobs", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("POST /v1/jobs: status %d: %s", resp.StatusCode, data)
-	}
-	var st jobs.Status
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("job status body: %w", err)
-	}
-	for st.State == jobs.StateRunning {
-		time.Sleep(20 * time.Millisecond)
-		get, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(get)
-		if err != nil {
-			return err
-		}
-		data, err := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET /v1/jobs/%s: status %d: %s", st.ID, resp.StatusCode, data)
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
-			return fmt.Errorf("job status body: %w", err)
-		}
-	}
-	if st.State != jobs.StateComplete {
-		return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	get, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/jobs/"+st.ID+"/results", nil)
-	if err != nil {
-		return err
-	}
-	resp, err = http.DefaultClient.Do(get)
-	if err != nil {
-		return err
-	}
-	data, err = io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/jobs/%s/results: status %d: %s", st.ID, resp.StatusCode, data)
-	}
-	if got := resp.Header.Get("X-Job-State"); got != string(jobs.StateComplete) {
-		return fmt.Errorf("results X-Job-State %q, want complete", got)
-	}
-	var doc struct {
-		Name string  `json:"name"`
-		Rows [][]any `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("results body: %w", err)
-	}
-	if doc.Name != "sweep" || len(doc.Rows) == 0 {
-		return fmt.Errorf("results dataset %q with %d rows, want non-empty sweep", doc.Name, len(doc.Rows))
-	}
-	// Terminal jobs are deletable: 204 once, 404 after.
-	for _, round := range []struct {
-		desc string
-		want int
-	}{
-		{"first", http.StatusNoContent},
-		{"second", http.StatusNotFound},
-	} {
-		desc, want := round.desc, round.want
-		del, err := http.NewRequestWithContext(rctx, http.MethodDelete, base+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(del)
-		if err != nil {
-			return err
-		}
-		data, err := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != want {
-			return fmt.Errorf("%s DELETE /v1/jobs/%s: status %d, want %d: %s", desc, st.ID, resp.StatusCode, want, data)
-		}
-	}
-	return nil
-}
-
-// runPeerSmoke is the clustered self-check: it starts two cross-peered
-// nodes in this process, routes the same experiment request twice
-// through the node that does NOT own its key, and verifies the first
-// fetch computes on the owner (miss-peer) and the second is served from
-// the owner's cache (hit-peer). It exercises the full peer path — ring
-// lookup, POST /peer/, wire round trip, dataset re-parse — the way the
-// -smoke flag exercises the single-node path.
-func runPeerSmoke(ctx context.Context, workers int) error {
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		if cerr := lnA.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "nwserve: %v\n", cerr)
-		}
-		return err
-	}
-	urls := map[string]string{
-		"a": "http://" + lnA.Addr().String(),
-		"b": "http://" + lnB.Addr().String(),
-	}
-	node := func(self, peer string) (*server, error) {
-		eng, err := engine.New(engine.Options{Shed: true})
-		if err != nil {
-			return nil, err
-		}
-		pb, err := cluster.NewPeerBackend(eng, cluster.Options{
-			Self:  self,
-			Peers: map[string]string{peer: urls[peer]},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &server{eng: eng, backend: pb, workers: workers}, nil
-	}
-	srvA, err := node("a", "b")
-	if err != nil {
-		return err
-	}
-	srvB, err := node("b", "a")
-	if err != nil {
-		return err
-	}
-	serve := func(ln net.Listener, s *server) (*http.Server, chan error) {
-		hs := &http.Server{
-			Handler:     s.mux(),
-			BaseContext: func(net.Listener) context.Context { return ctx },
-		}
-		served := make(chan error, 1)
-		go func() { served <- hs.Serve(ln) }()
-		return hs, served
-	}
-	hsA, servedA := serve(lnA, srvA)
-	hsB, servedB := serve(lnB, srvB)
-
-	err = func() error {
-		// Ask the node that does not own the key, so the request must
-		// cross the peer protocol. Both rings are built from the same
-		// membership, so both nodes agree on the owner.
-		req := engine.Request{Kind: engine.KindExperiment, Experiment: "fig5"}
-		owner := srvA.backend.(*cluster.PeerBackend).Ring().Owner(req.Key())
-		asker := "a"
-		if owner == "a" {
-			asker = "b"
-		}
-		fmt.Fprintf(os.Stderr, "nwserve: peer smoke: key owner %q, asking %q\n", owner, asker)
-		for _, want := range []string{"miss-peer", "hit-peer"} {
-			name, cache, err := fetchExperiment(ctx, urls[asker], "fig5")
-			if err != nil {
-				return fmt.Errorf("peer smoke: %w", err)
-			}
-			if name != "fig5" {
-				return fmt.Errorf("peer smoke: dataset name %q, want fig5", name)
-			}
-			if cache != want {
-				return fmt.Errorf("peer smoke: X-Cache %q, want %q", cache, want)
-			}
-		}
-		return nil
-	}()
-
-	if serr := shutdown(hsA, servedA); err == nil {
-		err = serr
-	}
-	if serr := shutdown(hsB, servedB); err == nil {
-		err = serr
-	}
-	return err
-}
-
-// fetchExperiment GETs /v1/experiment/{name} from a node and returns the
-// dataset name from the body and the X-Cache header.
-func fetchExperiment(ctx context.Context, base, experiment string) (name, cache string, err error) {
-	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/experiment/"+experiment, nil)
-	if err != nil {
-		return "", "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", "", err
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("GET %s/v1/experiment/%s: status %d: %s", base, experiment, resp.StatusCode, body)
-	}
-	var doc struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return "", "", fmt.Errorf("response is not dataset JSON: %w", err)
-	}
-	return doc.Name, resp.Header.Get("X-Cache"), nil
 }
 
 // server holds the shared engine behind the HTTP handlers. Public
@@ -702,7 +400,9 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // ?from=. Running jobs serve their partial prefix — pollers page with
 // from = chunks-already-fetched to stream increments — and X-Job-State /
 // X-Job-Chunks carry progress without body parsing. An empty window is
-// 204 No Content.
+// 204 No Content. The body is rendered before any status is committed,
+// so a result the JSON form cannot carry answers with its error class
+// (Invalid → 400) rather than 200 and an empty body.
 func (s *server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	from, err := queryInt(r, "from", 0)
 	if err != nil {
@@ -725,10 +425,12 @@ func (s *server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := page.Dataset.Render(w, dataset.FormatJSON); err != nil {
-		fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
+	raw, err := engine.EncodeJSON(page.Dataset)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
+	writeJSON(w, raw)
 }
 
 // writeJobStatus renders one job status as JSON with the X-Job-State
@@ -767,14 +469,19 @@ func (s *server) handle(parse func(*http.Request) (engine.Request, error)) http.
 			writeError(w, err)
 			return
 		}
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set("Content-Length", strconv.Itoa(len(raw)))
-		h.Set("X-Request-Key", resp.Key)
-		h.Set("X-Cache", cacheStatus(resp))
-		if _, err := w.Write(raw); err != nil {
-			fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
-		}
+		w.Header().Set("X-Request-Key", resp.Key)
+		w.Header().Set("X-Cache", cacheStatus(resp))
+		writeJSON(w, raw)
+	}
+}
+
+// writeJSON writes a rendered JSON body with its Content-Length.
+func writeJSON(w http.ResponseWriter, raw []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(raw)))
+	if _, err := w.Write(raw); err != nil {
+		fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
 	}
 }
 

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"nwdec/internal/cluster"
 	"nwdec/internal/code"
@@ -122,9 +125,9 @@ func freshJSON(t *testing.T, req engine.Request) []byte {
 	return raw
 }
 
-// fetch issues one request and returns the body, checking status 200
-// and that Content-Length matches the body.
-func fetch(t *testing.T, method, url string, body []byte) ([]byte, http.Header) {
+// fetch issues one request and returns the body, checking the status
+// and, on any status but 204, that Content-Length matches the body.
+func fetch(t *testing.T, method, url string, body []byte, status int) ([]byte, http.Header) {
 	t.Helper()
 	hreq, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
@@ -139,10 +142,10 @@ func fetch(t *testing.T, method, url string, body []byte) ([]byte, http.Header) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, raw)
+	if resp.StatusCode != status {
+		t.Fatalf("%s %s: status %d, want %d: %s", method, url, resp.StatusCode, status, raw)
 	}
-	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+	if cl := resp.Header.Get("Content-Length"); status != http.StatusNoContent && cl != strconv.Itoa(len(raw)) {
 		t.Errorf("%s %s: Content-Length %q, body %d bytes", method, url, cl, len(raw))
 	}
 	return raw, resp.Header
@@ -174,7 +177,7 @@ func TestServedBytes(t *testing.T) {
 				{"peer hit", http.MethodPost, warm.URL + cluster.PeerPath, wire, "hit"},
 				{"peer miss", http.MethodPost, cold.URL + cluster.PeerPath, wire, "miss"},
 			} {
-				got, hdr := fetch(t, c.method, c.url, c.body)
+				got, hdr := fetch(t, c.method, c.url, c.body, http.StatusOK)
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s body differs from a fresh engine's:\n%s\nvs\n%s", c.name, got, want)
 				}
@@ -211,7 +214,7 @@ func TestPeerServedBytes(t *testing.T) {
 		remote++
 		want := freshJSON(t, tc.req)
 		for _, cache := range []string{"miss-peer", "hit-peer"} {
-			got, hdr := fetch(t, http.MethodGet, ts.URL+tc.path, nil)
+			got, hdr := fetch(t, http.MethodGet, ts.URL+tc.path, nil, http.StatusOK)
 			if x := hdr.Get("X-Cache"); x != cache {
 				t.Errorf("%s: X-Cache %q, want %q", tc.path, x, cache)
 			}
@@ -219,7 +222,7 @@ func TestPeerServedBytes(t *testing.T) {
 				t.Errorf("%s (%s): peer-served body differs from a fresh engine's", tc.path, cache)
 			}
 		}
-		direct, _ := fetch(t, http.MethodGet, owner.URL+tc.path, nil)
+		direct, _ := fetch(t, http.MethodGet, owner.URL+tc.path, nil, http.StatusOK)
 		if !bytes.Equal(direct, want) {
 			t.Errorf("%s: owner's own body differs from a fresh engine's", tc.path)
 		}
@@ -229,6 +232,134 @@ func TestPeerServedBytes(t *testing.T) {
 	}
 	if got := pb.Stats().Served; got != int64(2*remote) {
 		t.Errorf("peer served %d requests, want %d", got, 2*remote)
+	}
+}
+
+// runJob submits a job spec (202) and polls its status until the job
+// leaves the running state.
+func runJob(t *testing.T, base, spec string) jobs.Status {
+	t.Helper()
+	raw, _ := fetch(t, http.MethodPost, base+"/v1/jobs", []byte(spec), http.StatusAccepted)
+	var st jobs.Status
+	for {
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("job status body: %v", err)
+		}
+		if st.State != jobs.StateRunning {
+			return st
+		}
+		time.Sleep(10 * time.Millisecond)
+		raw, _ = fetch(t, http.MethodGet, base+"/v1/jobs/"+st.ID, nil, http.StatusOK)
+	}
+}
+
+// TestJobLifecycle drives one small grid job through the HTTP surface:
+// submit (202), poll to completion, fetch the assembled sweep dataset
+// with X-Job-State complete, then delete it (204 once, 404 after).
+func TestJobLifecycle(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t).mux())
+	defer ts.Close()
+	// code.Type serializes as its enum int (1 = Gray code).
+	st := runJob(t, ts.URL, `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[0.05]},"chunk":1}`)
+	if st.State != jobs.StateComplete {
+		t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	raw, hdr := fetch(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/results", nil, http.StatusOK)
+	if got := hdr.Get("X-Job-State"); got != string(jobs.StateComplete) {
+		t.Errorf("results X-Job-State %q, want complete", got)
+	}
+	var doc struct {
+		Name string  `json:"name"`
+		Rows [][]any `json:"rows"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("results body: %v", err)
+	}
+	if doc.Name != "sweep" || len(doc.Rows) == 0 {
+		t.Errorf("results dataset %q with %d rows, want a non-empty sweep", doc.Name, len(doc.Rows))
+	}
+	fetch(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil, http.StatusNoContent)
+	fetch(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil, http.StatusNotFound)
+}
+
+// TestJobResultsUnrepresentable: a job whose sweep holds a value the JSON
+// form cannot carry (the +Inf bit area of a design whose yield underflows
+// to zero) answers /results with 400 "invalid", decided before any body
+// is sent — not 200 with an empty body.
+func TestJobResultsUnrepresentable(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t).mux())
+	defer ts.Close()
+	st := runJob(t, ts.URL, `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[1e300]},"chunk":1}`)
+	if st.State != jobs.StateComplete {
+		t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	raw, _ := fetch(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/results", nil, http.StatusBadRequest)
+	var body struct{ Error, Class string }
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Class != "invalid" {
+		t.Errorf("class = %q (%s), want invalid", body.Class, body.Error)
+	}
+}
+
+// TestShutdownDrains: shutdown on a real loopback server stops accepting
+// connections, lets the request already in flight finish, and returns
+// nil once Serve has exited.
+func TestShutdownDrains(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	entered, release := make(chan struct{}), make(chan struct{})
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "drained")
+	})}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	body := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr)
+		if err != nil {
+			body <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			body <- err.Error()
+			return
+		}
+		body <- string(raw)
+	}()
+	<-entered
+
+	done := make(chan error, 1)
+	go func() { done <- shutdown(hs, served) }()
+	// Shutdown has begun once the listener refuses new connections.
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		runtime.Gosched()
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("shutdown returned %v with a request still in flight", err)
+	default:
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if got := <-body; got != "drained" {
+		t.Errorf("in-flight request got %q, want the drained response", got)
 	}
 }
 

@@ -27,12 +27,8 @@ type Options struct {
 	// Peers maps every *other* node's ID to its base URL
 	// (e.g. "http://10.0.0.2:8080"). Self must not appear as a key.
 	Peers map[string]string
-	// VirtualNodes is the ring multiplicity (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// Timeout bounds one peer fetch (0 = DefaultPeerTimeout).
 	Timeout time.Duration
-	// Client issues the peer requests (nil = a private default client).
-	Client *http.Client
 }
 
 // Members is one node's view of the fleet and the client half of the
@@ -67,14 +63,11 @@ func NewMembers(opts Options) (*Members, error) {
 		nodes = append(nodes, id)
 		peers[id] = strings.TrimSuffix(base, "/")
 	}
-	ring, err := NewRing(nodes, opts.VirtualNodes)
+	ring, err := NewRing(nodes, DefaultVirtualNodes)
 	if err != nil {
 		return nil, nwerr.Invalid(err)
 	}
-	m := &Members{ring: ring, peers: peers, client: opts.Client, timeout: opts.Timeout}
-	if m.client == nil {
-		m.client = &http.Client{}
-	}
+	m := &Members{ring: ring, peers: peers, client: &http.Client{}, timeout: opts.Timeout}
 	if m.timeout <= 0 {
 		m.timeout = DefaultPeerTimeout
 	}

@@ -30,7 +30,7 @@ const (
 // set of independent nodes rather than an outage.
 //
 // Routing everything through the key's owner is what makes the fleet
-// compute each key once: the owner's singleflight coalesces concurrent
+// compute each key once: the owner's memo coalesces concurrent
 // fetches from every node, and the owner's cache is the key's single
 // home. Peer-served responses are deliberately *not* re-cached locally —
 // the owner is the cache home, and a second fetch hitting the owner's

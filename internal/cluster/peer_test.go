@@ -72,8 +72,8 @@ func computeCount(eng *engine.Engine) int64 {
 // TestClusterComputesOncePerFleet is the cluster-wide coalescing proof:
 // N concurrent identical requests arriving at every node of a 3-node
 // fleet run exactly one computation across the whole cluster — the ring
-// funnels them to one owner, and the owner's singleflight and cache
-// absorb the fan-in. Run under -race this also exercises the peer path's
+// funnels them to one owner, and the owner's memo (in-flight and cached)
+// absorbs the fan-in. Run under -race this also exercises the peer path's
 // synchronization.
 func TestClusterComputesOncePerFleet(t *testing.T) {
 	nodes := newTestCluster(t, 3)

@@ -3,7 +3,7 @@
 // a peer backend routes cache misses to the key's owner over HTTP before
 // computing locally. Combined with the engine's layered backends this
 // makes every expensive computation computable once per cluster instead
-// of once per node: the owner's singleflight deduplicates the fleet's
+// of once per node: the owner's memo deduplicates the fleet's
 // concurrent requests, and the owner's cache is the key's single home.
 //
 // The package is stdlib-only and goroutine-free (the project confines

@@ -14,8 +14,8 @@ import (
 // 503 + Retry-After — the server stays responsive under saturation
 // instead of accumulating an unbounded queue of waiters.
 //
-// The layer sits below the cache and singleflight layers, so cached and
-// deduplicated requests never consume a slot.
+// The layer sits below the cache layer, so hits and joined flights never
+// consume a slot.
 type admissionBackend struct {
 	sem   *par.Semaphore
 	shed  bool

@@ -8,11 +8,11 @@ import (
 // Backend is one layer of the serving stack. The engine is a composition
 // of backends, each owning exactly one cross-cutting mechanism:
 //
-//	singleflightBackend → cacheBackend → admissionBackend → computeBackend
+//	cacheBackend → admissionBackend → computeBackend
 //
-// in request-flow order: deduplicate concurrent identical requests, serve
-// repeats from the content-addressed cache, bound how many requests
-// compute at once, run the library entry point. The *Engine facade
+// in request-flow order: serve repeats from the content-addressed memo
+// (a stored result, or an identical request's computation in flight),
+// bound how many requests compute at once, run the library entry point. The *Engine facade
 // validates requests, counts them, and hands them to the head of the
 // chain — and is itself a Backend, so callers that route requests
 // further (the cluster peer backend) compose over it uniformly.
@@ -34,8 +34,8 @@ type Backend interface {
 // always on, cost three atomic increments, and let tests and operators
 // read each layer in isolation.
 type BackendStats struct {
-	// Name identifies the layer ("singleflight", "cache", "admission",
-	// "compute", "engine", "peer").
+	// Name identifies the layer ("cache", "admission", "compute",
+	// "engine", "peer").
 	Name string
 	// Requests counts requests that entered the layer.
 	Requests int64

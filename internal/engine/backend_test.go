@@ -1,8 +1,8 @@
 package engine
 
 // White-box tests driving each backend layer in isolation through a stub
-// next-layer, the way the Backend refactor promises: admission, cache and
-// singleflight are each testable without the real compute dispatch, so
+// next-layer, the way the Backend refactor promises: admission and the
+// cache memo are each testable without the real compute dispatch, so
 // their contracts (shed on saturation, serve-from-cache, one descent per
 // flight) pin down deterministically instead of racing real workloads.
 
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"nwdec/internal/nwerr"
+	"nwdec/internal/obs"
 )
 
 // stubBackend is a controllable next layer: it counts calls, optionally
@@ -164,13 +165,24 @@ func TestCacheBackendSkipsUncacheable(t *testing.T) {
 	}
 }
 
+// awaitJoined spins until n followers have joined a flight. A follower
+// counts engine/flight/joined after it has found the flight and before it
+// waits, so once the count reaches n the flight cannot land without them.
+func awaitJoined(reg *obs.Registry, n int64) {
+	for reg.Counter("engine/flight/joined").Value() < n {
+		runtime.Gosched()
+	}
+}
+
 // TestSingleflightDescendsOncePerFlight: concurrent identical requests
 // produce exactly one descent into the next layer; followers share the
 // leader's result as private clones.
 func TestSingleflightDescendsOncePerFlight(t *testing.T) {
 	stub := &stubBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	b := newSingleflightBackend(stub)
+	b := newCacheBackend(4, 1<<20, stub)
 	req := Request{Kind: KindMonteCarlo, Trials: 1}
+	reg := obs.New(nil)
+	ctx := obs.Into(context.Background(), reg)
 
 	const followers = 4
 	var wg sync.WaitGroup
@@ -178,7 +190,7 @@ func TestSingleflightDescendsOncePerFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := b.Handle(context.Background(), req)
+		_, err := b.Handle(ctx, req)
 		leadErr <- err
 	}()
 	<-stub.entered // the leader holds the flight open
@@ -189,24 +201,10 @@ func TestSingleflightDescendsOncePerFlight(t *testing.T) {
 	for i := 0; i < followers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = b.Handle(context.Background(), req)
+			resps[i], errs[i] = b.Handle(ctx, req)
 		}(i)
 	}
-	// Wait until every follower has joined, then land the flight. Joining
-	// happens before blocking on done, so once the map shows waiters the
-	// count is monotonic.
-	for {
-		b.mu.Lock()
-		joined := 0
-		if f, ok := b.flights[req.Key()]; ok {
-			joined = f.waiters
-		}
-		b.mu.Unlock()
-		if joined == followers {
-			break
-		}
-		runtime.Gosched()
-	}
+	awaitJoined(reg, followers)
 	close(stub.release)
 	wg.Wait()
 	if err := <-leadErr; err != nil {
@@ -224,7 +222,7 @@ func TestSingleflightDescendsOncePerFlight(t *testing.T) {
 		t.Errorf("next layer ran %d times, want 1", got)
 	}
 	if got := b.Stats().Served; got != followers {
-		t.Errorf("singleflight served = %d, want %d", got, followers)
+		t.Errorf("cache served = %d, want %d (the joined followers)", got, followers)
 	}
 }
 
@@ -232,17 +230,40 @@ func TestSingleflightDescendsOncePerFlight(t *testing.T) {
 // followers — and is not latched: the next request leads a fresh flight.
 func TestSingleflightLeaderErrorShared(t *testing.T) {
 	boom := errors.New("boom")
-	stub := &stubBackend{err: boom}
-	b := newSingleflightBackend(stub)
+	stub := &stubBackend{err: boom, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	b := newCacheBackend(4, 1<<20, stub)
 	req := Request{Kind: KindMonteCarlo, Trials: 1}
-	if _, err := b.Handle(context.Background(), req); !errors.Is(err, boom) {
+	reg := obs.New(nil)
+	ctx := obs.Into(context.Background(), reg)
+
+	leadErr := make(chan error, 1)
+	go func() {
+		_, err := b.Handle(ctx, req)
+		leadErr <- err
+	}()
+	<-stub.entered
+	followErr := make(chan error, 1)
+	go func() {
+		_, err := b.Handle(ctx, req)
+		followErr <- err
+	}()
+	awaitJoined(reg, 1)
+	close(stub.release)
+	if err := <-leadErr; !errors.Is(err, boom) {
 		t.Fatalf("leader error = %v, want boom", err)
 	}
-	stub.err = nil
-	if _, err := b.Handle(context.Background(), req); err != nil {
+	if err := <-followErr; !errors.Is(err, boom) {
+		t.Fatalf("follower error = %v, want the leader's boom", err)
+	}
+
+	stub.err, stub.entered, stub.release = nil, nil, nil
+	if _, err := b.Handle(ctx, req); err != nil {
 		t.Fatalf("flight error latched: %v", err)
 	}
 	if got := stub.callCount(); got != 2 {
 		t.Errorf("next layer ran %d times, want 2", got)
+	}
+	if got := b.len(); got != 1 {
+		t.Errorf("cache holds %d entries, want 1 (the error was not stored)", got)
 	}
 }

@@ -5,40 +5,73 @@ import (
 	"context"
 	"sync"
 
+	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 )
 
-// cacheBackend serves cacheable requests from the bounded,
-// content-addressed LRU and stores what the layers below compute. It
-// sits inside the singleflight layer, so a computed result is cached
-// before the flight lands — a request arriving the instant a flight
-// completes either joins it or hits the cache, never recomputes.
-// Non-cacheable kinds (fabrication) pass straight through.
+// cacheBackend is the engine's memo: one table, under one mutex, of the
+// results it has stored (a bounded, content-addressed LRU) and the
+// results it is still computing (in-flight keys). A cacheable request
+// does one of three things:
+//
+//   - hit: its key is stored, and it gets a private clone;
+//   - join: its key is in flight, and it waits for the leader and clones
+//     the leader's original, which carries the shared JSON memo;
+//   - lead: it registers a flight and descends into admission → compute.
+//
+// The leader stores its result and deletes its flight in one critical
+// section, so a request arriving the instant a flight completes either
+// joins it or hits the store — it can never recompute. Non-cacheable
+// kinds (fabrication) pass straight through: their results are mutable
+// state that must never be shared between callers.
 type cacheBackend struct {
-	cache *resultCache
 	next  Backend
 	stats layerStats
+
+	mu      sync.Mutex
+	lru     *resultCache
+	flights map[string]*flight
+}
+
+// flight is one in-progress computation that concurrent identical
+// requests join instead of recomputing. The leader publishes resp/err
+// and then closes done; followers block on done (or their own context)
+// and read the published result. The close-channel broadcast replaces the
+// WaitGroup idiom, which the project reserves for internal/par.
+type flight struct {
+	done chan struct{}
+	// resp is the computed original, never handed to a caller: followers
+	// clone it, exactly as hits clone a stored one.
+	resp *Response
+	err  error
 }
 
 func newCacheBackend(maxEntries int, maxCost int64, next Backend) *cacheBackend {
 	return &cacheBackend{
-		cache: newResultCache(maxEntries, maxCost),
-		next:  next,
-		stats: layerStats{name: "cache"},
+		next:    next,
+		stats:   layerStats{name: "cache"},
+		lru:     newResultCache(maxEntries, maxCost),
+		flights: make(map[string]*flight),
 	}
 }
 
-// Stats reports the layer's lifetime counters.
+// Stats reports the layer's lifetime counters. Served counts hits plus
+// joined followers.
 func (b *cacheBackend) Stats() BackendStats { return b.stats.Stats() }
 
-// len returns the number of cached responses.
-func (b *cacheBackend) len() int { return b.cache.len() }
+// len returns the number of stored responses.
+func (b *cacheBackend) len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.lru.ll.Len()
+}
 
-// Handle serves from the cache, or delegates and caches the computed
-// original. The cached original never leaves the layer: hits return a
-// caller-private clone, and the computed response is cloned on the way
-// out for the same reason. Before the original is stored it gains the
-// shared JSON memo that every clone of it carries (see Response.JSON).
+// Handle hits, joins or leads (see cacheBackend). Every caller receives
+// a private clone; the stored or in-flight original never leaves the
+// layer. A follower shares the leader's result and the leader's error —
+// including a Canceled one — since no computation of its own remains to
+// continue; a follower whose own context dies stops waiting and returns
+// Canceled.
 func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, error) {
 	b.stats.requests.Add(1)
 	if !req.Kind.cacheable() {
@@ -46,24 +79,68 @@ func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, erro
 	}
 	reg := obs.From(ctx)
 	key := req.Key()
-	if resp, ok := b.cache.get(key); ok {
+	b.mu.Lock()
+	if resp, ok := b.lru.get(key); ok {
+		b.mu.Unlock()
 		reg.Counter("engine/cache/hits").Add(1)
 		b.stats.served.Add(1)
 		return resp.clone(req, true), nil
 	}
+	f, joined := b.flights[key]
+	if !joined {
+		f = &flight{done: make(chan struct{})}
+		b.flights[key] = f
+	}
+	b.mu.Unlock()
+	if joined {
+		reg.Counter("engine/flight/joined").Add(1)
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			b.stats.errors.Add(1)
+			return nil, nwerr.Canceled(ctx.Err())
+		}
+		if f.err != nil {
+			b.stats.errors.Add(1)
+			return nil, f.err
+		}
+		b.stats.served.Add(1)
+		return f.resp.clone(req, true), nil
+	}
 	reg.Counter("engine/cache/misses").Add(1)
+	return b.lead(ctx, req, key, f)
+}
+
+// lead computes the flight's result, stores it (unless it alone exceeds
+// the cost cap, in which case only its flight shares it) and lands the
+// flight. Errors are never stored: the next request leads a fresh
+// flight. Before the original is published it gains the shared JSON memo
+// that every clone of it carries (see Response.JSON).
+func (b *cacheBackend) lead(ctx context.Context, req Request, key string, f *flight) (*Response, error) {
 	resp, err := b.next.Handle(ctx, req)
+	if err == nil {
+		resp.encoded = &encoded{ds: resp.Dataset}
+	}
+	evicted := 0
+	b.mu.Lock()
+	delete(b.flights, key)
+	if err == nil {
+		evicted = b.lru.add(key, resp, resp.cost())
+	}
+	entries, cost := b.lru.ll.Len(), b.lru.cost
+	b.mu.Unlock()
+	f.resp, f.err = resp, err
+	close(f.done)
 	if err != nil {
 		b.stats.errors.Add(1)
 		return nil, err
 	}
-	resp.encoded = &encoded{ds: resp.Dataset}
-	evicted := b.cache.add(key, resp, resp.cost())
+	reg := obs.From(ctx)
 	if evicted > 0 {
 		reg.Counter("engine/cache/evictions").Add(int64(evicted))
 	}
-	reg.Gauge("engine/cache/entries").Set(float64(b.cache.len()))
-	reg.Gauge("engine/cache/cost").Set(float64(b.cache.costNow()))
+	reg.Gauge("engine/cache/entries").Set(float64(entries))
+	reg.Gauge("engine/cache/cost").Set(float64(cost))
 	return resp.clone(req, false), nil
 }
 
@@ -77,11 +154,11 @@ type cacheEntry struct {
 // resultCache is a bounded LRU over content-addressed responses. Two caps
 // apply together: a maximum entry count and a maximum total cost (the sum
 // of Response.cost weights); exceeding either evicts from the
-// least-recently-used end. The cache is safe for concurrent use and keeps
-// no metrics of its own — the engine counts hits, misses and evictions in
-// the request path, where the obs registry is at hand.
+// least-recently-used end. It has no lock of its own — cacheBackend's
+// mutex guards it together with the in-flight map — and keeps no metrics:
+// the backend counts hits, misses and evictions in the request path,
+// where the obs registry is at hand.
 type resultCache struct {
-	mu         sync.Mutex
 	maxEntries int
 	maxCost    int64
 	cost       int64
@@ -100,8 +177,6 @@ func newResultCache(maxEntries int, maxCost int64) *resultCache {
 
 // get returns the cached response for key, refreshing its recency.
 func (c *resultCache) get(key string) (*Response, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -110,25 +185,17 @@ func (c *resultCache) get(key string) (*Response, bool) {
 	return el.Value.(*cacheEntry).resp, true
 }
 
-// add stores a response under key and returns how many entries were
-// evicted to make room. A response whose cost alone exceeds the cost cap
-// is not stored at all — admitting it would immediately evict everything
-// else and then itself.
+// add stores a response under a key the cache does not hold (only a
+// flight's leader stores, and a key is never stored while in flight) and
+// returns how many entries were evicted to make room. A response whose
+// cost alone exceeds the cost cap is not stored at all — admitting it
+// would immediately evict everything else and then itself.
 func (c *resultCache) add(key string, resp *Response, cost int64) (evicted int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if cost > c.maxCost {
 		return 0
 	}
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.cost += cost - ent.cost
-		ent.resp, ent.cost = resp, cost
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, resp: resp, cost: cost})
-		c.cost += cost
-	}
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, resp: resp, cost: cost})
+	c.cost += cost
 	for c.ll.Len() > c.maxEntries || c.cost > c.maxCost {
 		back := c.ll.Back()
 		if back == nil {
@@ -141,18 +208,4 @@ func (c *resultCache) add(key string, resp *Response, cost int64) (evicted int) 
 		evicted++
 	}
 	return evicted
-}
-
-// len returns the current entry count.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// costNow returns the current total cost.
-func (c *resultCache) costNow() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cost
 }

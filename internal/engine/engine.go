@@ -5,12 +5,12 @@
 // backends, each owning one cross-cutting mechanism the entry points
 // themselves stay free of:
 //
-//   - singleflight deduplication: concurrent identical requests share one
-//     computation instead of racing to do the same work;
-//   - a bounded, content-addressed result cache: the pipeline's
+//   - a memo of results, stored and in flight: the pipeline's
 //     determinism invariant makes a request's identity fields a complete
 //     address for its result, so equal requests — at any worker count —
-//     are served from memory;
+//     are served from a bounded, content-addressed LRU, and concurrent
+//     identical requests share one computation instead of racing to do
+//     the same work;
 //   - admission control: a semaphore bounds the number of requests
 //     computing at once, so a burst degrades to queueing (or, in shed
 //     mode, to an Overload-class rejection) instead of unbounded memory
@@ -18,7 +18,7 @@
 //   - computation: the kind dispatch itself.
 //
 // The layers compose through the Backend interface, in request-flow
-// order singleflight → cache → admission → compute. The Engine facade
+// order cache → admission → compute. The Engine facade
 // validates and counts requests at the top of the chain and is itself a
 // Backend, which is what lets internal/cluster route request keys across
 // a fleet of engines: a peer backend composes over a remote node's
@@ -96,8 +96,6 @@ func (o Options) validate() error {
 // counts them, and hands them to the head of the chain. Construct with
 // New; an Engine is safe for concurrent use and implements Backend.
 type Engine struct {
-	head      Backend
-	flight    *singleflightBackend
 	cache     *cacheBackend
 	admission *admissionBackend
 	compute   *computeBackend
@@ -118,12 +116,8 @@ func New(opts Options) (*Engine, error) {
 	}
 	compute := newComputeBackend()
 	admission := newAdmissionBackend(opts.MaxInFlight, opts.Shed, compute)
-	cache := newCacheBackend(opts.MaxEntries, opts.MaxCost, admission)
-	flight := newSingleflightBackend(cache)
 	return &Engine{
-		head:      flight,
-		flight:    flight,
-		cache:     cache,
+		cache:     newCacheBackend(opts.MaxEntries, opts.MaxCost, admission),
 		admission: admission,
 		compute:   compute,
 		stats:     layerStats{name: "engine"},
@@ -145,7 +139,6 @@ func (e *Engine) Stats() BackendStats { return e.stats.Stats() }
 func (e *Engine) BackendStats() []BackendStats {
 	return []BackendStats{
 		e.Stats(),
-		e.flight.Stats(),
 		e.cache.Stats(),
 		e.admission.Stats(),
 		e.compute.Stats(),
@@ -159,10 +152,11 @@ func (e *Engine) Handle(ctx context.Context, req Request) (*Response, error) {
 }
 
 // Do serves one request: validate, then hand it to the backend chain —
-// deduplicate against in-flight identical requests, consult the cache,
-// and compute under admission control. The returned response is the
-// caller's own — its dataset is a private clone — and its CacheHit field
-// reports whether any computation happened on the caller's behalf.
+// serve it from the memo (a stored result, or an identical request in
+// flight), else compute under admission control. The returned response
+// is the caller's own — its dataset is a private clone — and its
+// CacheHit field reports whether any computation happened on the
+// caller's behalf.
 //
 // Errors are classified per internal/nwerr: a malformed request is
 // Invalid (no work is admitted), ctx cancellation surfaces as Canceled,
@@ -186,7 +180,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		e.stats.errors.Add(1)
 		return nil, nwerr.Canceled(err)
 	}
-	resp, err := e.head.Handle(ctx, req)
+	resp, err := e.cache.Handle(ctx, req)
 	if err != nil {
 		e.stats.errors.Add(1)
 		return nil, err

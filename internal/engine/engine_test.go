@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,15 +89,19 @@ func TestBackendStats(t *testing.T) {
 		}
 	}
 	layers := make(map[string]engine.BackendStats)
+	var order []string
 	for _, st := range eng.BackendStats() {
 		layers[st.Name] = st
+		order = append(order, st.Name)
+	}
+	if got := strings.Join(order, " → "); got != "engine → cache → admission → compute" {
+		t.Errorf("layer order = %s", got)
 	}
 	for name, want := range map[string]engine.BackendStats{
-		"engine":       {Name: "engine", Requests: 2},
-		"singleflight": {Name: "singleflight", Requests: 2},
-		"cache":        {Name: "cache", Requests: 2, Served: 1},
-		"admission":    {Name: "admission", Requests: 1},
-		"compute":      {Name: "compute", Requests: 1, Served: 1},
+		"engine":    {Name: "engine", Requests: 2},
+		"cache":     {Name: "cache", Requests: 2, Served: 1},
+		"admission": {Name: "admission", Requests: 1},
+		"compute":   {Name: "compute", Requests: 1, Served: 1},
 	} {
 		if got := layers[name]; got != want {
 			t.Errorf("layer %s stats = %+v, want %+v", name, got, want)
@@ -104,7 +109,7 @@ func TestBackendStats(t *testing.T) {
 	}
 }
 
-// TestConcurrentDuplicatesComputeOnce is the singleflight proof: N
+// TestConcurrentDuplicatesComputeOnce is the in-flight sharing proof: N
 // goroutines issue the identical request against one engine, and the
 // engine's compute counter must record exactly one execution — every
 // other caller either joined the in-flight computation or hit the cache.

@@ -9,12 +9,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 
 	"nwdec/internal/core"
 	"nwdec/internal/nwerr"
+	"nwdec/internal/obs"
 )
 
 // gateBackend holds every request at its entry until release closes,
@@ -54,6 +54,62 @@ func freshJSON(t *testing.T, req Request) []byte {
 	return raw
 }
 
+// leadAndJoin parks a leader for req inside b's flight at gate, lets one
+// follower join it, then lands the flight and returns both responses.
+func leadAndJoin(t *testing.T, b *cacheBackend, gate *gateBackend, req Request) (leader, follower *Response) {
+	t.Helper()
+	reg := obs.New(nil)
+	ctx := obs.Into(context.Background(), reg)
+	var leadErr, followErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		leader, leadErr = b.Handle(ctx, req)
+	}()
+	<-gate.entered
+	go func() {
+		defer wg.Done()
+		follower, followErr = b.Handle(ctx, req)
+	}()
+	awaitJoined(reg, 1)
+	close(gate.release)
+	wg.Wait()
+	if leadErr != nil || followErr != nil {
+		t.Fatalf("leader: %v, follower: %v", leadErr, followErr)
+	}
+	if leader.CacheHit || !follower.CacheHit {
+		t.Fatalf("CacheHit leader/follower = %v/%v, want false/true", leader.CacheHit, follower.CacheHit)
+	}
+	return leader, follower
+}
+
+// newGate returns a gate over a fresh compute layer.
+func newGate() *gateBackend {
+	return &gateBackend{next: newComputeBackend(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+// sameJSON checks that every response's JSON equals want and that all
+// of them are one shared slice.
+func sameJSON(t *testing.T, want []byte, resps map[string]*Response) {
+	t.Helper()
+	var first []byte
+	for name, resp := range resps {
+		raw, err := resp.JSON()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("%s body differs from a fresh engine's:\n%s\nvs\n%s", name, raw, want)
+		}
+		if first == nil {
+			first = raw
+		} else if &raw[0] != &first[0] {
+			t.Errorf("%s body is a separate rendering, want the shared bytes", name)
+		}
+	}
+}
+
 // TestJSONSharedAcrossPaths: for one request of every cacheable kind,
 // the leader's (miss), a joined follower's and a later hit's JSON all
 // equal a fresh engine's Dataset.JSON() — and are one shared slice.
@@ -61,68 +117,39 @@ func TestJSONSharedAcrossPaths(t *testing.T) {
 	for _, g := range wireGolden {
 		t.Run(string(g.req.Kind), func(t *testing.T) {
 			want := freshJSON(t, g.req)
-			gate := &gateBackend{next: newComputeBackend(), entered: make(chan struct{}, 1), release: make(chan struct{})}
-			flight := newSingleflightBackend(newCacheBackend(DefaultMaxEntries, DefaultMaxCost, gate))
-			ctx := context.Background()
-
-			var leader, follower *Response
-			var leadErr, followErr error
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				leader, leadErr = flight.Handle(ctx, g.req)
-			}()
-			<-gate.entered
-			go func() {
-				defer wg.Done()
-				follower, followErr = flight.Handle(ctx, g.req)
-			}()
-			for {
-				flight.mu.Lock()
-				joined := 0
-				if f, ok := flight.flights[g.req.Key()]; ok {
-					joined = f.waiters
-				}
-				flight.mu.Unlock()
-				if joined == 1 {
-					break
-				}
-				runtime.Gosched()
-			}
-			close(gate.release)
-			wg.Wait()
-			if leadErr != nil || followErr != nil {
-				t.Fatalf("leader: %v, follower: %v", leadErr, followErr)
-			}
-			hit, err := flight.Handle(ctx, g.req)
+			gate := newGate()
+			b := newCacheBackend(DefaultMaxEntries, DefaultMaxCost, gate)
+			leader, follower := leadAndJoin(t, b, gate, g.req)
+			hit, err := b.Handle(context.Background(), g.req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if leader.CacheHit || !follower.CacheHit || !hit.CacheHit {
-				t.Fatalf("CacheHit leader/follower/hit = %v/%v/%v, want false/true/true",
-					leader.CacheHit, follower.CacheHit, hit.CacheHit)
+			if !hit.CacheHit {
+				t.Fatal("repeat after the flight landed missed the cache")
 			}
-			var first []byte
-			for _, c := range []struct {
-				name string
-				resp *Response
-			}{{"miss", leader}, {"follower", follower}, {"hit", hit}} {
-				raw, err := c.resp.JSON()
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				if !bytes.Equal(raw, want) {
-					t.Errorf("%s body differs from a fresh engine's:\n%s\nvs\n%s", c.name, raw, want)
-				}
-				if first == nil {
-					first = raw
-				} else if &raw[0] != &first[0] {
-					t.Errorf("%s body is a separate rendering, want the shared bytes", c.name)
-				}
-			}
+			sameJSON(t, want, map[string]*Response{"miss": leader, "follower": follower, "hit": hit})
 		})
 	}
+}
+
+// TestJSONSharedOverCost: a result whose cost alone exceeds the cost cap
+// is not stored, yet its flight still shares it: one compute, and the
+// follower reads the leader's rendering.
+func TestJSONSharedOverCost(t *testing.T) {
+	// A one-word codes dataset costs 1 + 1 row × 3 columns = 4 units.
+	req := Request{Kind: KindCodes, Count: 1}
+	want := freshJSON(t, req)
+	gate := newGate()
+	compute := gate.next.(*computeBackend)
+	b := newCacheBackend(DefaultMaxEntries, 3, gate)
+	leader, follower := leadAndJoin(t, b, gate, req)
+	if got := compute.Stats().Requests; got != 1 {
+		t.Errorf("compute ran %d times, want 1", got)
+	}
+	if got := b.len(); got != 0 {
+		t.Errorf("over-cost result was stored (%d entries)", got)
+	}
+	sameJSON(t, want, map[string]*Response{"miss": leader, "follower": follower})
 }
 
 // TestJSONConcurrentFirstUse: goroutines racing to read the JSON of a

@@ -214,7 +214,7 @@ type encoded struct {
 func (e *encoded) bytes() ([]byte, error) {
 	e.once.Do(func() {
 		if e.raw == nil {
-			e.raw, e.err = encodeJSON(e.ds)
+			e.raw, e.err = EncodeJSON(e.ds)
 		}
 	})
 	return e.raw, e.err
@@ -252,11 +252,15 @@ func (r *Response) JSON() ([]byte, error) {
 	if r.encoded != nil {
 		return r.encoded.bytes()
 	}
-	return encodeJSON(r.Dataset)
+	return EncodeJSON(r.Dataset)
 }
 
-// encodeJSON renders ds under the error classes JSON documents.
-func encodeJSON(ds *dataset.Dataset) ([]byte, error) {
+// EncodeJSON renders ds as Dataset.JSON does, under the error classes
+// Response.JSON documents: a nil dataset is Internal, a value the form
+// cannot carry is Invalid, any other failure is Internal. Servers writing
+// a dataset that did not come from the engine (a job's assembled
+// results) classify its encode failures the same way.
+func EncodeJSON(ds *dataset.Dataset) ([]byte, error) {
 	if ds == nil {
 		return nil, nwerr.Internalf("engine: response carries no dataset to encode")
 	}

@@ -123,8 +123,6 @@ const (
 type RetryExecutor struct {
 	// Next is the wrapped executor (required).
 	Next Executor
-	// Attempts bounds total tries (<= 0 selects DefaultRetryAttempts).
-	Attempts int
 	// Backoff is the first retry delay, doubling per attempt (<= 0
 	// selects DefaultRetryBackoff).
 	Backoff time.Duration
@@ -132,22 +130,18 @@ type RetryExecutor struct {
 	stats execStats
 }
 
-// Execute tries the inner executor up to Attempts times. Served counts
-// chunks rescued by a retry (succeeded on a later attempt); first-try
-// successes pass through uncounted, keeping the layer's stats a pure
-// measure of its own contribution.
+// Execute tries the inner executor up to DefaultRetryAttempts times.
+// Served counts chunks rescued by a retry (succeeded on a later
+// attempt); first-try successes pass through uncounted, keeping the
+// layer's stats a pure measure of its own contribution.
 func (e *RetryExecutor) Execute(ctx context.Context, spec Spec, chunk Chunk) (*dataset.Dataset, error) {
 	e.stats.chunks.Add(1)
-	attempts := e.Attempts
-	if attempts <= 0 {
-		attempts = DefaultRetryAttempts
-	}
 	backoff := e.Backoff
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
 	}
 	var last error
-	for try := 0; try < attempts; try++ {
+	for try := 0; try < DefaultRetryAttempts; try++ {
 		if try > 0 {
 			obs.From(ctx).Counter("jobs/retries").Add(1)
 			if err := sleep(ctx, backoff); err != nil {

@@ -21,8 +21,11 @@
 #   test   5. go test -race -count=1 ./...  — full suite under the race
 #             detector, cache disabled; this is what keeps internal/par,
 #             the shared generator cache and the jobs runner race-clean
-#             and exercises the serial-vs-parallel determinism tests;
-#             then go vet and go test over the nested perfbench module,
+#             and exercises the serial-vs-parallel determinism tests. It
+#             includes nwserve's HTTP checks over loopback servers: served
+#             bytes and X-Cache on one node and through a two-node fleet
+#             (miss-peer then hit-peer), the async job lifecycle (submit,
+#             poll, results, delete) and graceful shutdown; then go vet and go test over the nested perfbench module,
 #             which root ./... cannot see, so an API change that breaks
 #             the benchmark build fails here rather than at benchmark time
 #          6. coverage gate — go run ./scripts/covergate enforces
@@ -38,15 +41,7 @@
 #          8. metrics smoke — nwsim -metrics json must emit a parseable
 #             snapshot (saved as ci-artifacts/metrics.json) without
 #             touching stdout data
-#          9. server smoke — nwserve -smoke starts the HTTP facade on an
-#             ephemeral port, exercises one synchronous request plus the
-#             full async job lifecycle (submit, poll, results) against
-#             itself and shuts down gracefully
-#         10. peer smoke — nwserve -peer-smoke starts a two-node
-#             in-process fleet, fetches the same experiment twice through
-#             the node that does not own its key, and asserts X-Cache:
-#             miss-peer then hit-peer
-#         11. jobs kill/resume smoke — submits a multi-chunk sweep job
+#          9. jobs kill/resume smoke — submits a multi-chunk sweep job
 #             through nwsweep -job, SIGKILLs it mid-run, resumes from the
 #             checkpoint store and asserts the final dataset is
 #             byte-identical to an uninterrupted run; a second resume of
@@ -54,7 +49,7 @@
 #             by the computed=0 accounting line and by the obs
 #             jobs/chunks_* counters. The job store is preserved under
 #             ci-artifacts/job-smoke/ when the smoke fails.
-#         12. distributed jobs smoke — starts two nwserve chunk peers,
+#         10. distributed jobs smoke — starts two nwserve chunk peers,
 #             runs the same sweep job through nwsweep -peers so chunks
 #             route over the consistent-hash ring, SIGKILLs one peer
 #             mid-job and asserts the job still completes with output
@@ -62,7 +57,7 @@
 #             nonzero peer_served count in the ring accounting line. The
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
-#         13. fuzz smoke — 10s of real fuzzing per Fuzz target, each run
+#         11. fuzz smoke — 10s of real fuzzing per Fuzz target, each run
 #             in its own package; targets are auto-discovered from the
 #             test files of every package
 #
@@ -165,14 +160,6 @@ run_metrics_smoke() {
 		-metrics json -metrics-out "$artifacts/metrics.json" >/dev/null
 	test -s "$artifacts/metrics.json"
 	go run ./cmd/nwsim -exp montecarlo -trials 4 >"$artifacts/montecarlo-plain.txt"
-}
-
-run_server_smoke() {
-	go run ./cmd/nwserve -smoke
-}
-
-run_peer_smoke() {
-	go run ./cmd/nwserve -peer-smoke
 }
 
 # jobs_smoke_body is the kill/resume equivalence check. It runs inside
@@ -437,8 +424,6 @@ fi
 if [ "$stage" = "bench" ] || [ "$stage" = "all" ]; then
 	step "bench regression" run_bench
 	step "metrics smoke" run_metrics_smoke
-	step "server smoke" run_server_smoke
-	step "peer smoke" run_peer_smoke
 	step "jobs kill/resume smoke" run_jobs_smoke
 	step "distributed jobs smoke" run_dist_smoke
 	step "fuzz smoke" run_fuzz_smoke
