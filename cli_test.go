@@ -395,9 +395,11 @@ func TestCLIStructuredOutput(t *testing.T) {
 			t.Errorf("json dataset has no rows:\n%s", so.String())
 		}
 
-		// An unknown rule is a usage error.
-		if code, _ := runFail(t, bin, "-rules", "nope"); code != 2 {
-			t.Errorf("unknown rule: exit %d, want 2", code)
+		// An unknown rule, or a list that names no rule, is a usage error.
+		for _, rules := range []string{"nope", ","} {
+			if code, _ := runFail(t, bin, "-rules", rules); code != 2 {
+				t.Errorf("-rules %q: exit %d, want 2", rules, code)
+			}
 		}
 	})
 

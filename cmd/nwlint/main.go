@@ -1,21 +1,19 @@
 // Command nwlint runs the project's static analyzers over the module
 // and reports every violation of the determinism, cancellation,
 // concurrency-containment, error-discipline, output-discipline,
-// scratch-confinement, atomic-coherence, layering and wire-parity
-// invariants (see internal/lint).
+// scratch-confinement, atomic-coherence and layering invariants (see
+// internal/lint).
 //
 // Usage:
 //
 //	nwlint [flags] [./... | package directories]
 //
 // With no arguments (or "./...") every package of the module is
-// checked. Packages are analyzed in dependency order with independent
-// packages in parallel (-workers bounds the pool; output is
-// byte-identical at every worker count). Diagnostics that carry a
-// suggested fix can be applied in place with -fix or previewed as
-// unified diffs with -diff (a dry run that never writes). -facts dumps
-// the cross-package facts the analyzers exported, for debugging rules
-// built on the fact store.
+// checked in one run, and the diagnostics print sorted by position.
+// -rules picks a subset of the rules; a list that names no rule is a
+// usage error. Diagnostics that carry a suggested fix can be applied in
+// place with -fix or previewed as unified diffs with -diff (a dry run
+// that never writes).
 //
 // Exit codes follow the internal/cli convention: 0 when the tree is
 // clean (with -fix: when every diagnostic was fixed), 1 when
@@ -23,8 +21,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,10 +36,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a structured JSON dataset")
 	rules := flag.String("rules", "", "comma-separated rule subset to run (default: all)")
 	list := flag.Bool("list", false, "list the available rules and exit")
-	workers := flag.Int("workers", 0, "parallel analysis workers (0 = GOMAXPROCS)")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source tree")
 	diff := flag.Bool("diff", false, "preview suggested fixes as diffs without writing (dry run)")
-	factsOut := flag.String("facts", "", "write the exported analyzer facts as JSON to this file ('-' for stdout)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -97,16 +91,7 @@ func main() {
 		pkgs = append(pkgs, pkg)
 	}
 
-	diags, facts, err := lint.RunParallelFacts(context.Background(), *workers, pkgs, analyzers, lint.DefaultConfig(loader.Module))
-	if err != nil {
-		fail(err)
-	}
-
-	if *factsOut != "" {
-		if err := writeFacts(*factsOut, facts); err != nil {
-			fail(err)
-		}
-	}
+	diags := lint.Run(pkgs, analyzers, lint.DefaultConfig(loader.Module))
 
 	fixed := 0
 	if *fix || *diff {
@@ -158,23 +143,6 @@ func main() {
 		}
 		os.Exit(cli.ExitError)
 	}
-}
-
-// writeFacts renders the exported facts as JSON to path ('-' = stdout).
-func writeFacts(path string, facts []lint.FactLine) error {
-	if facts == nil {
-		facts = []lint.FactLine{}
-	}
-	raw, err := json.MarshalIndent(facts, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if path == "-" {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
 }
 
 // targetPaths expands the command arguments into module import paths:

@@ -205,7 +205,7 @@ func gcLoop(ctx context.Context, runner *jobs.Runner, maxAge time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			removed, err := runner.GC(ctx, time.Now(), maxAge, 0)
+			removed, err := runner.GC(ctx, time.Now(), maxAge)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "nwserve: job gc: %v\n", err)
 				continue

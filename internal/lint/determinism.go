@@ -35,7 +35,7 @@ func runDeterminism(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(p, call)
+			fn := calleeFunc(p.Info, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
@@ -69,7 +69,7 @@ func recvOf(fn *types.Func) *types.Var {
 }
 
 // calleeFunc resolves the called function of a call expression, or nil.
-func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -79,7 +79,7 @@ func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
+	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
 
@@ -165,7 +165,7 @@ func sortedObjects(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		fn := calleeFunc(p, call)
+		fn := calleeFunc(p.Info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -199,7 +199,7 @@ func isSortHelper(name string) bool {
 // isOutputCall reports whether call writes to an ordered output sink:
 // an fmt print/fprint, or a Write*/AddRow* method.
 func isOutputCall(p *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(p, call)
+	fn := calleeFunc(p.Info, call)
 	if fn == nil {
 		return false
 	}

@@ -97,7 +97,7 @@ func checkBlankAssign(p *Pass, as *ast.AssignStmt) {
 // literal, the diagnostic carries a fix that rewrites the verb matching
 // the error argument to %w.
 func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(p, call)
+	fn := calleeFunc(p.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 		return
 	}
@@ -199,7 +199,7 @@ func returnsError(p *Pass, call *ast.CallExpr) bool {
 // fmt console printing, and writes into in-memory sinks
 // (strings.Builder, bytes.Buffer, hash.Hash).
 func infallible(p *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(p, call)
+	fn := calleeFunc(p.Info, call)
 	if fn == nil {
 		return false
 	}

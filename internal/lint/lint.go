@@ -4,14 +4,14 @@
 // analyzers that turn the repository's correctness conventions into
 // machine-checked rules.
 //
-// The framework runs each Analyzer over a fully type-checked package.
-// An analyzer may export facts — typed data attached to objects or
-// packages — that passes over downstream packages import, so rules can
-// reason across package boundaries (see Fact). Packages are analyzed in
-// dependency order, independent packages in parallel on the internal/par
-// pool, and the diagnostic stream is byte-identical at every worker
-// count. Diagnostics may carry SuggestedFixes that the cmd/nwlint driver
-// applies with -fix (or previews with -diff).
+// The framework runs each Analyzer over a fully type-checked package,
+// one package after another. A rule that must see the whole run (an
+// atomic access in one package makes a plain access in any other a
+// race) sets Analyzer.Prepare, which runs once over every package before
+// the passes and hands its result to each of them. Run sorts the
+// diagnostic stream by position, rule and message, so it does not depend
+// on package order. Diagnostics may carry SuggestedFixes that the
+// cmd/nwlint driver applies with -fix (or previews with -diff).
 //
 // The invariants the analyzers protect are the ones the paper
 // reproduction depends on:
@@ -65,9 +65,12 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line statement of the invariant the rule protects.
 	Doc string
+	// Prepare, when set, runs once per Run over every package being
+	// analyzed, before any pass; its result reaches each pass of this
+	// analyzer as Pass.Prepared. It is the one way a rule sees beyond
+	// the package it is inspecting, and it must not modify the packages.
+	Prepare func([]*Package) any
 	// Run inspects one package and reports violations through the pass.
-	// Runs over distinct packages may execute concurrently; a run must
-	// touch nothing outside its pass.
 	Run func(*Pass)
 }
 
@@ -80,7 +83,8 @@ func All() []*Analyzer {
 }
 
 // ByName resolves a comma-separated rule list ("determinism,errcheck").
-// An unknown name is an error listing the known rules.
+// An unknown name is an error listing the known rules, and so is a list
+// that names no rule at all (",").
 func ByName(list string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, name := range strings.Split(list, ",") {
@@ -97,14 +101,21 @@ func ByName(list string) ([]*Analyzer, error) {
 			}
 		}
 		if !found {
-			known := make([]string, 0, len(All()))
-			for _, a := range All() {
-				known = append(known, a.Name)
-			}
-			return nil, fmt.Errorf("lint: unknown rule %q (known: %s)", name, strings.Join(known, ", "))
+			return nil, fmt.Errorf("lint: unknown rule %q (known: %s)", name, ruleNames())
 		}
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("lint: rule list %q names no rule (known: %s)", list, ruleNames())
+	}
 	return out, nil
+}
+
+func ruleNames() string {
+	known := make([]string, 0, len(All()))
+	for _, a := range All() {
+		known = append(known, a.Name)
+	}
+	return strings.Join(known, ", ")
 }
 
 // TextEdit is one span replacement of a suggested fix. Pos and End are
@@ -160,10 +171,12 @@ type Pass struct {
 	// deterministic, where goroutines may live, ...).
 	Cfg *Config
 
+	// Prepared is the running analyzer's Prepare result for the whole
+	// run, nil when the analyzer has no Prepare.
+	Prepared any
+
 	rule  string
 	diags *[]Diagnostic
-	store *factStore
-	facts *pkgFacts
 }
 
 // Reportf records a diagnostic at pos under the running rule.
@@ -184,42 +197,4 @@ func (p *Pass) Report(pos token.Pos, message string, fixes ...SuggestedFix) {
 		Message:  message,
 		Fixes:    fixes,
 	})
-}
-
-// ExportObjectFact attaches a fact to obj for downstream passes. Facts
-// may only be exported for objects of the pass's own package — the
-// package that declares an object is the authority on it; exports for
-// foreign objects are dropped.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts == nil || obj == nil || obj.Pkg() != p.Pkg {
-		return
-	}
-	p.facts.exportObject(obj, f)
-}
-
-// ImportObjectFact copies the fact of f's concrete type previously
-// exported for obj (by this pass or an upstream package's pass) into f
-// and reports whether one was found. f must be a non-nil pointer.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.store == nil || obj == nil {
-		return false
-	}
-	return p.store.importObject(obj, f)
-}
-
-// ExportPackageFact attaches a fact to the pass's package as a whole.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if p.facts == nil {
-		return
-	}
-	p.facts.exportPackage(f)
-}
-
-// ImportPackageFact copies the fact of f's concrete type previously
-// exported for pkg into f and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if p.store == nil || pkg == nil {
-		return false
-	}
-	return p.store.importPackage(pkg, f)
 }

@@ -239,7 +239,7 @@ func TestDatasetJSON(t *testing.T) {
 	}
 }
 
-// TestByName pins rule-subset resolution and its error message.
+// TestByName pins rule-subset resolution and its error messages.
 func TestByName(t *testing.T) {
 	as, err := lint.ByName("determinism, errcheck")
 	if err != nil {
@@ -250,6 +250,11 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := lint.ByName("nope"); err == nil || !strings.Contains(err.Error(), "unknown rule") {
 		t.Errorf("err = %v, want unknown rule", err)
+	}
+	for _, list := range []string{"", ",", " , "} {
+		if _, err := lint.ByName(list); err == nil || !strings.Contains(err.Error(), "names no rule") {
+			t.Errorf("ByName(%q) err = %v, want names no rule", list, err)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func runPrintBound(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				fn := calleeFunc(p, n)
+				fn := calleeFunc(p.Info, n)
 				if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
 					strings.HasPrefix(fn.Name(), "Print") {
 					p.Reportf(n.Pos(), "fmt.%s writes to stdout from a library package; return data or write through an injected io.Writer", fn.Name())

@@ -1,67 +1,51 @@
 package lint
 
-import (
-	"context"
-	"sort"
+import "sort"
 
-	"nwdec/internal/par"
-)
-
-// Run applies the analyzers to every package serially and returns the
-// surviving diagnostics in deterministic order. It is the workers = 1
-// form of RunParallel, kept as the convenience surface for the
-// per-package lint self-tests.
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
-	diags, err := RunParallel(context.Background(), 1, pkgs, analyzers, cfg)
-	if err != nil {
-		// The only error source is context cancellation, and the
-		// background context cannot be cancelled.
-		panic("lint: serial run failed: " + err.Error())
-	}
-	return diags
-}
-
-// RunParallel applies the analyzers to every package and returns the
-// surviving diagnostics sorted by position. Packages are analyzed in
-// dependency order — a package runs only after every package it imports
-// (within the analyzed set) has finished, so imported facts are always
-// complete — and packages with no ordering constraint between them run
-// concurrently on a bounded par pool. Diagnostic output is byte-identical
-// at every worker count: each package collects into its own slice and
-// the merged stream is fully ordered (file, line, column, rule, message).
+// Run applies the analyzers to every package, one package after another,
+// and returns the surviving diagnostics sorted by (file, line, column,
+// rule, message), so the stream does not depend on package order. Each
+// analyzer's Prepare, when set, runs once over the whole package set
+// before any pass, and its result is handed to every pass of that
+// analyzer as Pass.Prepared.
 //
 // Suppression directives (//nwlint:ignore rule reason) are honored per
 // package; malformed directives are reported under the pseudo-rule
 // "ignore", and well-formed directives that no longer suppress any
 // diagnostic of the rules that ran are reported as stale, with a
 // suggested fix that deletes them.
-func RunParallel(ctx context.Context, workers int, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
-	diags, _, err := RunParallelFacts(ctx, workers, pkgs, analyzers, cfg)
-	return diags, err
-}
-
-// RunParallelFacts is RunParallel, additionally returning the flattened
-// fact store — the cmd/nwlint -facts dump, and the hook tests use to
-// assert cross-package fact flow.
-func RunParallelFacts(ctx context.Context, workers int, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, []FactLine, error) {
-	store := newFactStore(pkgs)
-	perPkg := make([][]Diagnostic, len(pkgs))
-
-	for _, wave := range waves(pkgs) {
-		wave := wave
-		err := par.ForEach(ctx, workers, wave, func(_ context.Context, _ int, i int) error {
-			perPkg[i] = analyze(pkgs[i], analyzers, cfg, store)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
+func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
+	prepared := make([]any, len(analyzers))
+	for i, a := range analyzers {
+		if a.Prepare != nil {
+			prepared[i] = a.Prepare(pkgs)
 		}
+	}
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
 	}
 
 	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
+	for _, pkg := range pkgs {
+		var own []Diagnostic
+		pass := &Pass{
+			Fset:  pkg.Fset,
+			Path:  pkg.Path,
+			Pkg:   pkg.Types,
+			Info:  pkg.Info,
+			Files: pkg.Files,
+			Cfg:   cfg,
+			diags: &own,
+		}
+		for i, a := range analyzers {
+			pass.rule = a.Name
+			pass.Prepared = prepared[i]
+			a.Run(pass)
+		}
+		diags = append(diags, suppress(pkg, own, ran)...)
 	}
+
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Position.Filename != b.Position.Filename {
@@ -78,81 +62,5 @@ func RunParallelFacts(ctx context.Context, workers int, pkgs []*Package, analyze
 		}
 		return a.Message < b.Message
 	})
-	return diags, store.summary(), nil
-}
-
-// analyze runs every analyzer over one package and applies the
-// suppression pass. It touches only its own pass state, the package's
-// pre-created fact set, and — read-only — the completed fact sets of the
-// package's dependencies, so concurrent calls over independent packages
-// are race-free.
-func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config, store *factStore) []Diagnostic {
-	var diags []Diagnostic
-	pass := &Pass{
-		Fset:  pkg.Fset,
-		Path:  pkg.Path,
-		Pkg:   pkg.Types,
-		Info:  pkg.Info,
-		Files: pkg.Files,
-		Cfg:   cfg,
-		diags: &diags,
-		store: store,
-		facts: store.byPkg[pkg.Types],
-	}
-	for _, a := range analyzers {
-		pass.rule = a.Name
-		a.Run(pass)
-	}
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	return suppress(pkg, diags, ran)
-}
-
-// waves groups the packages into dependency levels: wave k holds the
-// packages whose analyzed dependencies all sit in waves < k, so the
-// waves can run one after another with full parallelism inside each.
-// Indices within a wave are ordered by package path, which (with the
-// final diagnostic sort) keeps the whole pipeline deterministic.
-func waves(pkgs []*Package) [][]int {
-	index := make(map[string]int, len(pkgs))
-	for i, pkg := range pkgs {
-		index[pkg.Types.Path()] = i
-	}
-	depth := make([]int, len(pkgs))
-	for i := range depth {
-		depth[i] = -1
-	}
-	var depthOf func(i int) int
-	depthOf = func(i int) int {
-		if depth[i] >= 0 {
-			return depth[i]
-		}
-		depth[i] = 0 // cycles are impossible in a type-checked import graph
-		d := 0
-		for _, imp := range pkgs[i].Types.Imports() {
-			if j, ok := index[imp.Path()]; ok && j != i {
-				if dj := depthOf(j) + 1; dj > d {
-					d = dj
-				}
-			}
-		}
-		depth[i] = d
-		return d
-	}
-	maxDepth := 0
-	for i := range pkgs {
-		if d := depthOf(i); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	out := make([][]int, maxDepth+1)
-	for i := range pkgs {
-		out[depth[i]] = append(out[depth[i]], i)
-	}
-	for _, wave := range out {
-		sort.Slice(wave, func(a, b int) bool { return pkgs[wave[a]].Path < pkgs[wave[b]].Path })
-	}
-	return out
+	return diags
 }

@@ -1,8 +1,8 @@
 package lint_test
 
 import (
-	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nwdec/internal/lint"
@@ -49,12 +49,39 @@ func TestLayering(t *testing.T) {
 	matchDiagnostics(t, diags, wants(t, pkg))
 }
 
-// TestAtomicFactFlow pins the cross-package fact pipeline: the pass over
-// the defining fixture exports an AtomicFieldFact for the atomically
-// accessed field, and the pass over the importing fixture flags its
-// plain access purely through the imported fact. The packages are passed
-// to the runner in reverse dependency order to prove the wave scheduler
-// reorders them.
+// render formats a diagnostic stream one line per diagnostic.
+func render(diags []lint.Diagnostic) []string {
+	out := make([]string, len(diags))
+	for i, d := range diags {
+		out[i] = d.String()
+	}
+	return out
+}
+
+// sameStream fails the test unless two rendered streams are identical.
+func sameStream(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d diagnostics, want %d:\n%v\nvs\n%v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("diagnostic %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// reversed returns a reversed copy of the package list.
+func reversed(pkgs []*lint.Package) []*lint.Package {
+	out := slices.Clone(pkgs)
+	slices.Reverse(out)
+	return out
+}
+
+// TestAtomicFactFlow pins the cross-package atomicfield check: the
+// atomic access in the defining fixture makes the importing fixture's
+// plain access a finding. The packages reach the runner in reverse
+// dependency order, so the result cannot hang on which one runs first.
 func TestAtomicFactFlow(t *testing.T) {
 	loader := newTestLoader(t)
 	def := loadFixture(t, loader, "atomicdef", "nwdec/internal/atomicdef")
@@ -63,29 +90,14 @@ func TestAtomicFactFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, facts, err := lint.RunParallelFacts(context.Background(), 2,
-		[]*lint.Package{use, def}, analyzers, lint.DefaultConfig(loader.Module))
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := lint.Run([]*lint.Package{use, def}, analyzers, lint.DefaultConfig(loader.Module))
 	matchDiagnostics(t, diags, append(wants(t, def), wants(t, use)...))
-
-	want := lint.FactLine{Package: "nwdec/internal/atomicdef", Object: "Counters.Hits", Fact: "AtomicFieldFact"}
-	found := false
-	for _, f := range facts {
-		if f == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("fact summary %v does not contain %v", facts, want)
-	}
 }
 
 // TestWorkersByteIdentical pins the runner's determinism contract: the
 // rendered diagnostic stream over a mixed set of real and fixture
-// packages (multiple dependency waves, non-empty diagnostics) is
-// byte-identical at every worker count.
+// packages (import edges among them, non-empty diagnostics) is
+// byte-identical whatever order the packages reach the runner in.
 func TestWorkersByteIdentical(t *testing.T) {
 	loader := newTestLoader(t)
 	var pkgs []*lint.Package
@@ -102,52 +114,63 @@ func TestWorkersByteIdentical(t *testing.T) {
 	)
 	cfg := lint.DefaultConfig(loader.Module)
 
-	render := func(workers int) []string {
-		diags, err := lint.RunParallel(context.Background(), workers, pkgs, lint.All(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(diags))
-		for i, d := range diags {
-			out[i] = d.String()
-		}
-		return out
+	want := render(lint.Run(pkgs, lint.All(), cfg))
+	if len(want) == 0 {
+		t.Fatal("package set produced no diagnostics; the determinism check is vacuous")
 	}
-	serial := render(1)
-	if len(serial) == 0 {
-		t.Fatal("fixture set produced no diagnostics; the determinism check is vacuous")
-	}
-	for _, workers := range []int{2, 8} {
-		parallel := render(workers)
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: %d diagnostics, want %d", workers, len(parallel), len(serial))
-		}
-		for i := range serial {
-			if parallel[i] != serial[i] {
-				t.Errorf("workers=%d: diagnostic %d = %q, want %q", workers, i, parallel[i], serial[i])
-			}
-		}
+	rotated := append(slices.Clone(pkgs[2:]), pkgs[:2]...)
+	for _, order := range [][]*lint.Package{reversed(pkgs), rotated} {
+		sameStream(t, render(lint.Run(order, lint.All(), cfg)), want)
 	}
 }
 
-// TestConcurrentAnalysis runs all analyzers concurrently over
-// independent copies of a fixture package — one wave, multiple workers —
-// so `go test -race ./internal/lint` exercises the shared state of the
-// runner (fact store, file set, config) under real parallelism.
-func TestConcurrentAnalysis(t *testing.T) {
+// TestAtomicWholeRun pins atomicfield's whole-run check: a plain access
+// is flagged wherever the atomic access to the same field lives — in
+// the same package (atomicdef), upstream of an importer that reads it
+// plainly (atomicdef → atomicuse), and downstream of the plain read
+// (atomicup is read plainly, its importer atomicdown is the only atomic
+// site). The run happens in two package orders, which must give exactly
+// the `// want` diagnostics and the same stream.
+func TestAtomicWholeRun(t *testing.T) {
 	loader := newTestLoader(t)
-	// Independent copies of the same sources under distinct deterministic
-	// paths: no import edges between them, so they share one wave.
+	// Each defining fixture loads before its importer, so the import
+	// resolves to the fixture already cached under that path.
+	pkgs := []*lint.Package{
+		loadFixture(t, loader, "atomicdef", "nwdec/internal/atomicdef"),
+		loadFixture(t, loader, "atomicuse", "nwdec/internal/atomicuse"),
+		loadFixture(t, loader, "atomicup", "nwdec/internal/atomicup"),
+		loadFixture(t, loader, "atomicdown", "nwdec/internal/atomicdown"),
+	}
+	analyzers, err := lint.ByName("atomicfield")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lint.DefaultConfig(loader.Module)
+	var expects []expectation
+	for _, pkg := range pkgs {
+		expects = append(expects, wants(t, pkg)...)
+	}
+
+	forward := lint.Run(pkgs, analyzers, cfg)
+	matchDiagnostics(t, forward, expects)
+	backward := lint.Run(reversed(pkgs), analyzers, cfg)
+	matchDiagnostics(t, backward, expects)
+	sameStream(t, render(backward), render(forward))
+}
+
+// TestIndependentCopies runs all analyzers over independent copies of a
+// fixture package under distinct deterministic paths: each copy reports
+// exactly what a run over that copy alone reports, and the stream is
+// the same in either package order.
+func TestIndependentCopies(t *testing.T) {
+	loader := newTestLoader(t)
 	paths := []string{"nwdec/internal/code", "nwdec/internal/mspt", "nwdec/internal/physics"}
 	var pkgs []*lint.Package
 	for _, p := range paths {
 		pkgs = append(pkgs, loadFixture(t, loader, "determinism", p))
 	}
 	cfg := lint.DefaultConfig(loader.Module)
-	diags, err := lint.RunParallel(context.Background(), len(pkgs), pkgs, lint.All(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := lint.Run(pkgs, lint.All(), cfg)
 	single := lint.Run(pkgs[:1], lint.All(), cfg)
 	if len(single) == 0 {
 		t.Fatal("fixture produced no diagnostics")
@@ -155,4 +178,5 @@ func TestConcurrentAnalysis(t *testing.T) {
 	if len(diags) != len(paths)*len(single) {
 		t.Errorf("got %d diagnostics from %d copies, want %d", len(diags), len(paths), len(paths)*len(single))
 	}
+	sameStream(t, render(lint.Run(reversed(pkgs), lint.All(), cfg)), render(diags))
 }

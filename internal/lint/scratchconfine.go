@@ -54,7 +54,7 @@ func runScratchConfine(p *Pass) {
 			if !ok || len(call.Args) == 0 {
 				return true
 			}
-			fn := calleeFunc(p, call)
+			fn := calleeFunc(p.Info, call)
 			if fn == nil || fn.Pkg() == nil || !chunkedEntryPoints[fn.Name()] {
 				return true
 			}

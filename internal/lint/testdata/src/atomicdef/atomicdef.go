@@ -1,8 +1,7 @@
 // Package atomicdef defines a struct whose Hits field is accessed
 // through the legacy sync/atomic package-level functions, seeding one
-// local mixed plain access. The atomicfield pass over this package
-// exports an AtomicFieldFact for Hits; the atomicuse fixture imports
-// this package and proves the fact flows downstream.
+// local mixed plain access. The atomicuse fixture imports this package
+// and reads Hits plainly, so the rule must carry the mark downstream.
 package atomicdef
 
 import "sync/atomic"

@@ -1,7 +1,7 @@
 // Package atomicuse imports atomicdef and accesses its atomically
 // marked field without the atomic API: the violation is only visible
-// through the AtomicFieldFact the defining package's pass exported, so
-// this fixture pins the cross-package fact flow.
+// through the atomic accesses in atomicdef, so this fixture pins the
+// downstream half of the whole-run check.
 package atomicuse
 
 import "nwdec/internal/atomicdef"
