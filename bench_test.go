@@ -234,6 +234,34 @@ func BenchmarkCodeGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkArrangementSearch times the two budgeted arrangement searches
+// uncached: code.New runs every iteration, so each one searches afresh.
+// BGC M=10 with 26 words (the scaling experiment's deepest cave) spends
+// the whole node budget at cap 5 before cap 6 succeeds; AHC M=8 with 20
+// words is the registry's largest hot-code search.
+func BenchmarkArrangementSearch(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		tp            code.Type
+		length, count int
+	}{
+		{"BGC-M10-N26", code.TypeBalancedGray, 10, 26},
+		{"AHC-M8-N20", code.TypeArrangedHot, 8, 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g, err := code.New(c.tp, 2, c.length)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := g.Sequence(c.count); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkJobCheckpoint measures the two I/O legs the async job layer
 // adds around a sweep: persisting one chunk checkpoint (atomic JSON
 // write into the filesystem store) and the resume scan that serves a

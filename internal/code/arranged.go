@@ -1,9 +1,6 @@
 package code
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ArrangedHot is the arranged hot code AHC: the words of the hot code
 // HC(M, k) re-ordered in a Gray-code fashion so that successive words differ
@@ -23,8 +20,7 @@ type ArrangedHot struct {
 	// SearchBudget bounds the number of DFS nodes explored per search.
 	SearchBudget int
 
-	mu    sync.Mutex
-	cache map[int][]Word
+	memo memo
 }
 
 // NewArrangedHot returns the arranged hot code with word length M over the
@@ -37,7 +33,7 @@ func NewArrangedHot(base, length int) (*ArrangedHot, error) {
 	return &ArrangedHot{
 		hot:          h,
 		SearchBudget: DefaultBGCSearchBudget,
-		cache:        make(map[int][]Word),
+		memo:         memo{cache: make(map[int][]Word)},
 	}, nil
 }
 
@@ -66,16 +62,7 @@ func (a *ArrangedHot) Sequence(count int) ([]Word, error) {
 		return nil, fmt.Errorf("%w: arranged hot code (M=%d, k=%d, n=%d) has %d words, requested %d",
 			ErrCountExceedsSpace, a.hot.length, a.hot.k, a.hot.base, a.SpaceSize(), count)
 	}
-	// The sequence cache makes the generator safe for concurrent use by
-	// the parallel sweep drivers (which share generators through Cached).
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if cached, ok := a.cache[count]; ok {
-		return cloneWords(cached), nil
-	}
-	words := a.search(count)
-	a.cache[count] = words
-	return cloneWords(words), nil
+	return a.memo.sequence(count, a.search), nil
 }
 
 // search finds count distinct hot-code words where successive words differ
@@ -83,27 +70,18 @@ func (a *ArrangedHot) Sequence(count int) ([]Word, error) {
 // order if the budgeted search fails (which does not happen for the spaces
 // the paper considers; the fallback keeps the API total).
 func (a *ArrangedHot) search(count int) []Word {
-	if count == 0 {
-		return nil
-	}
 	// Canonical start: the lexicographically smallest word 0^k 1^k ... .
-	start := make(Word, a.hot.length)
+	m, n, k := a.hot.length, a.hot.base, a.hot.k
+	start := make(Word, m)
 	for i := range start {
-		start[i] = i / a.hot.k
+		start[i] = i / k
 	}
-	if count == 1 {
-		return []Word{start}
-	}
-	s := &ahcSearch{
-		hot:     a.hot,
-		count:   count,
-		budget:  a.SearchBudget,
-		visited: map[string]bool{start.Key(): true},
-		usage:   make([]int, a.hot.length),
-		path:    []Word{start},
-	}
+	// Every hot word has the same composition, so every node lists the
+	// same number of moves: the position pairs holding different digits.
+	s := newArrangeSearch(start, count, (m*(m-1)-n*k*(k-1))/2)
+	s.hot, s.budget = true, a.SearchBudget
 	if s.dfs() {
-		return s.path
+		return s.words(n, m)
 	}
 	words, err := a.hot.Sequence(count)
 	if err != nil {
@@ -111,62 +89,4 @@ func (a *ArrangedHot) search(count int) []Word {
 		panic("code: hot fallback failed: " + err.Error())
 	}
 	return words
-}
-
-type ahcSearch struct {
-	hot     *Hot
-	count   int
-	budget  int
-	visited map[string]bool
-	usage   []int // how often each position changed so far
-	path    []Word
-}
-
-func (s *ahcSearch) dfs() bool {
-	if len(s.path) == s.count {
-		return true
-	}
-	if s.budget <= 0 {
-		return false
-	}
-	s.budget--
-	cur := s.path[len(s.path)-1]
-	// Candidate moves: swap the values at two positions holding different
-	// digits. Prefer position pairs with the lowest combined usage so the
-	// transitions spread across columns.
-	type move struct{ i, j, cost int }
-	var moves []move
-	for i := 0; i < len(cur); i++ {
-		for j := i + 1; j < len(cur); j++ {
-			if cur[i] != cur[j] {
-				moves = append(moves, move{i, j, s.usage[i] + s.usage[j]})
-			}
-		}
-	}
-	// Stable insertion sort by cost keeps the search deterministic.
-	for i := 1; i < len(moves); i++ {
-		for k := i; k > 0 && moves[k].cost < moves[k-1].cost; k-- {
-			moves[k], moves[k-1] = moves[k-1], moves[k]
-		}
-	}
-	for _, m := range moves {
-		cur[m.i], cur[m.j] = cur[m.j], cur[m.i]
-		key := cur.Key()
-		if !s.visited[key] {
-			s.visited[key] = true
-			s.usage[m.i]++
-			s.usage[m.j]++
-			s.path = append(s.path, cur.Clone())
-			if s.dfs() {
-				cur[m.i], cur[m.j] = cur[m.j], cur[m.i]
-				return true
-			}
-			s.path = s.path[:len(s.path)-1]
-			s.usage[m.i]--
-			s.usage[m.j]--
-			delete(s.visited, key)
-		}
-		cur[m.i], cur[m.j] = cur[m.j], cur[m.i]
-	}
-	return false
 }

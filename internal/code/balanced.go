@@ -1,9 +1,6 @@
 package code
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // BalancedGray is the balanced Gray arrangement BGC (after Bhat & Savage):
 // a Gray sequence — successive base words differ in exactly one digit — in
@@ -30,13 +27,12 @@ type BalancedGray struct {
 	// SearchBudget bounds the number of DFS nodes explored per cap level.
 	SearchBudget int
 
-	mu    sync.Mutex
-	cache map[int][]Word
+	memo memo
 }
 
 // DefaultBGCSearchBudget is the per-cap node budget of the backtracking
-// search. The sequences needed by the paper's experiments (count <= 64,
-// M <= 12) resolve within a tiny fraction of it.
+// search. Some of the paper's sequences exhaust it: BGC M=10 with 26 words
+// spends all of it at cap 5, and then cap 6 succeeds in 25 nodes.
 const DefaultBGCSearchBudget = 2_000_000
 
 // NewBalancedGray returns the balanced Gray arrangement with total
@@ -53,7 +49,7 @@ func NewBalancedGray(base, length int) (*BalancedGray, error) {
 		length:            length,
 		DigitChangeTarget: 2,
 		SearchBudget:      DefaultBGCSearchBudget,
-		cache:             make(map[int][]Word),
+		memo:              memo{cache: make(map[int][]Word)},
 	}, nil
 }
 
@@ -81,48 +77,22 @@ func (b *BalancedGray) Sequence(count int) ([]Word, error) {
 		return nil, fmt.Errorf("%w: balanced Gray code base %d length %d has %d words, requested %d",
 			ErrCountExceedsSpace, b.base, b.length, b.SpaceSize(), count)
 	}
-	// The sequence cache makes the generator safe for concurrent use by
-	// the parallel sweep drivers (which share generators through Cached).
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cached, ok := b.cache[count]; ok {
-		return cloneWords(cached), nil
-	}
-	baseWords := b.searchBase(count)
-	words := make([]Word, count)
-	for i, w := range baseWords {
-		words[i] = w.Reflect(b.base)
-	}
-	b.cache[count] = words
-	return cloneWords(words), nil
+	return b.memo.sequence(count, b.search), nil
 }
 
-// searchBase finds count distinct base words forming a Gray path with the
-// smallest achievable maximum per-digit change count.
-func (b *BalancedGray) searchBase(count int) []Word {
+// search returns count reflected words whose base words form a Gray path
+// with the smallest achievable maximum per-digit change count.
+func (b *BalancedGray) search(count int) []Word {
 	l := b.BaseLength()
-	if count == 0 {
-		return nil
-	}
-	start := make(Word, l)
-	if count == 1 {
-		return []Word{start}
-	}
+	s := newArrangeSearch(make(Word, l), count, l*(b.base-1))
+	s.base = b.base
 	minCap := (count - 2 + l) / l // ceil((count-1)/l)
-	maxCap := count - 1
-	for c := minCap; c <= maxCap; c++ {
-		s := &bgcSearch{
-			base:    b.base,
-			l:       l,
-			count:   count,
-			perDig:  c,
-			budget:  b.SearchBudget,
-			visited: map[string]bool{start.Key(): true},
-			usage:   make([]int, l),
-			path:    []Word{start},
-		}
+	for c := minCap; c <= count-1; c++ {
+		// A failed search has unwound to the start word, so each cap
+		// reuses it with a fresh budget.
+		s.perDig, s.budget = c, b.SearchBudget
 		if s.dfs() {
-			return s.path
+			return s.words(b.base, b.length)
 		}
 		if c >= b.DigitChangeTarget && c >= minCap+2 {
 			// Deepening further trades balance for search time with no
@@ -134,77 +104,7 @@ func (b *BalancedGray) searchBase(count int) []Word {
 	g := &Gray{base: b.base, length: b.length}
 	out := make([]Word, count)
 	for i := range out {
-		out[i] = g.BaseWord(i)
+		out[i] = g.BaseWord(i).Reflect(b.base)
 	}
 	return out
 }
-
-type bgcSearch struct {
-	base    int
-	l       int
-	count   int
-	perDig  int // max allowed changes per digit position
-	budget  int
-	visited map[string]bool
-	usage   []int // per-digit change counts so far
-	path    []Word
-}
-
-func (s *bgcSearch) dfs() bool {
-	if len(s.path) == s.count {
-		return true
-	}
-	if s.budget <= 0 {
-		return false
-	}
-	s.budget--
-	cur := s.path[len(s.path)-1]
-	// Visit digits with the lowest usage first so balance emerges greedily;
-	// ties break on digit index, then value, keeping the search
-	// deterministic.
-	order := digitOrder(s.usage)
-	for _, j := range order {
-		if s.usage[j] >= s.perDig {
-			continue
-		}
-		old := cur[j]
-		for v := 0; v < s.base; v++ {
-			if v == old {
-				continue
-			}
-			cur[j] = v
-			key := cur.Key()
-			if !s.visited[key] {
-				s.visited[key] = true
-				s.usage[j]++
-				s.path = append(s.path, cur.Clone())
-				if s.dfs() {
-					cur[j] = old
-					return true
-				}
-				s.path = s.path[:len(s.path)-1]
-				s.usage[j]--
-				delete(s.visited, key)
-			}
-		}
-		cur[j] = old
-	}
-	return false
-}
-
-// digitOrder returns digit indices sorted by ascending usage (stable on
-// index). Insertion sort keeps it allocation-light for the tiny l involved.
-func digitOrder(usage []int) []int {
-	order := make([]int, len(usage))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for k := i; k > 0 && usage[order[k]] < usage[order[k-1]]; k-- {
-			order[k], order[k-1] = order[k-1], order[k]
-		}
-	}
-	return order
-}
-
-func cloneWords(ws []Word) []Word { return CloneWords(ws) }

@@ -99,8 +99,8 @@ func (w Word) Counts(base int) []int {
 	return c
 }
 
-// Key returns a compact comparable key for use in maps. Words longer than
-// 64 digits or with base > 36 are not supported by the simulator and panic.
+// Key returns a compact comparable key for use in maps: one character per
+// digit. It panics on a digit outside [0, 36), the largest supported base.
 func (w Word) Key() string {
 	var sb strings.Builder
 	for _, d := range w {

@@ -12,16 +12,17 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden dataset files")
 
 // TestGoldenDatasets pins the serialized JSON and CSV forms of the four
-// paper-figure experiments. The goldens are the data contract of the
-// pipeline: any change to the figure values, the column schema or the
-// serialization itself shows up as a diff here. Run with -update to accept
-// an intentional change.
+// paper-figure experiments and of the two extensions that own the
+// balanced-Gray and arranged-hot searches (scaling, multivalued). The
+// goldens are the data contract of the pipeline: any change to the figure
+// values, the column schema or the serialization itself shows up as a diff
+// here. Run with -update to accept an intentional change.
 //
 // Each experiment runs at two worker counts and must match the same golden
 // bytes, pinning the worker-count independence of the serialized forms.
 func TestGoldenDatasets(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"fig5", "fig7", "fig8", "headline"} {
+	for _, name := range []string{"fig5", "fig7", "fig8", "headline", "scaling", "multivalued"} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			r := NewRunner()
 			r.Workers = workers
